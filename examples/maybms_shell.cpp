@@ -79,7 +79,7 @@ constexpr const char* kHelp = R"(statements:
     -- disk and materializes only what queries touch
   CHECKPOINT;
     -- folds the write-ahead log into a fresh snapshot (also happens
-    -- automatically every auto_checkpoint_records logged statements)
+    -- automatically every auto_checkpoint_records logged mutations)
   DELETE FROM r OLDEST 10;
     -- retires the 10 oldest tuples (sliding-window streaming); unused
     -- components are garbage-collected with them

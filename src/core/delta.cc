@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -63,11 +64,25 @@ DeltaBatch& DeltaBatch::Enforce(Constraint constraint) {
   return *this;
 }
 
+DeltaBatch& DeltaBatch::CreateRelation(std::string name, Schema schema) {
+  ops_.push_back(CreateRelationOp{std::move(name), std::move(schema)});
+  return *this;
+}
+
+DeltaBatch& DeltaBatch::DropRelation(std::string name) {
+  ops_.push_back(DropRelationOp{std::move(name)});
+  return *this;
+}
+
 // --- serialization ----------------------------------------------------------
 
 namespace {
 
 constexpr uint32_t kDeltaVersion = 1;
+
+// Deepest domain predicate Serialize writes and Deserialize accepts; the
+// cap bounds the decoder's recursion on hostile bytes.
+constexpr int kMaxExprDepth = 256;
 
 enum class OpTag : uint8_t {
   kInsert = 1,
@@ -76,6 +91,8 @@ enum class OpTag : uint8_t {
   kSetCell = 4,
   kRepair = 5,
   kEnforce = 6,
+  kCreateRelation = 7,
+  kDropRelation = 8,
 };
 
 enum class ValueTag : uint8_t {
@@ -134,13 +151,35 @@ Result<Value> ReadValue(SnapshotCursor* cur) {
   return Status::ParseError(StrFormat("unknown delta value tag %u", tag));
 }
 
+// Reads a uint32 element count and checks it against the bytes left,
+// given that every element occupies at least `min_bytes`: a corrupt
+// count fails here instead of driving a huge reserve().
+Result<uint32_t> ReadCount(SnapshotCursor* cur, size_t min_bytes) {
+  MAYBMS_ASSIGN_OR_RETURN(uint32_t n, cur->Read<uint32_t>());
+  if (n > cur->remaining() / min_bytes) {
+    return Status::ParseError(
+        StrFormat("delta element count %u exceeds payload", n));
+  }
+  return n;
+}
+
+// Component ids travel as u64; anything wider than ComponentId is
+// corrupt rather than silently truncated.
+Result<ComponentId> ReadComponentId(SnapshotCursor* cur) {
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t cid, cur->Read<uint64_t>());
+  if (cid > std::numeric_limits<ComponentId>::max()) {
+    return Status::ParseError("delta component id out of range");
+  }
+  return static_cast<ComponentId>(cid);
+}
+
 void PutStringList(std::string* out, const std::vector<std::string>& v) {
   PutPod(out, static_cast<uint32_t>(v.size()));
   for (const std::string& s : v) PutLenString(out, s);
 }
 
 Result<std::vector<std::string>> ReadStringList(SnapshotCursor* cur) {
-  MAYBMS_ASSIGN_OR_RETURN(uint32_t n, cur->Read<uint32_t>());
+  MAYBMS_ASSIGN_OR_RETURN(uint32_t n, ReadCount(cur, sizeof(uint32_t)));
   std::vector<std::string> out;
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -178,7 +217,8 @@ Result<CellSpec> ReadCellSpec(SnapshotCursor* cur) {
   if (kind != 1) {
     return Status::ParseError(StrFormat("unknown delta cell kind %u", kind));
   }
-  MAYBMS_ASSIGN_OR_RETURN(uint32_t n, cur->Read<uint32_t>());
+  MAYBMS_ASSIGN_OR_RETURN(uint32_t n,
+                          ReadCount(cur, sizeof(uint8_t) + sizeof(double)));
   std::vector<Alternative> alts;
   alts.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -189,18 +229,130 @@ Result<CellSpec> ReadCellSpec(SnapshotCursor* cur) {
   return CellSpec::OrSet(std::move(alts));
 }
 
+// Domain predicates: one node per ExprKind, pre-order. A node is its
+// kind byte, its payload (value, column name, operator byte, IS NULL
+// negation, or IN list), then its children — two for compare, arith,
+// AND and OR; one for NOT, IS NULL and IN.
+Status PutExpr(std::string* out, const Expr& e, int depth) {
+  if (depth > kMaxExprDepth) {
+    return Status::InvalidArgument(StrFormat(
+        "domain predicate nests deeper than %d levels", kMaxExprDepth));
+  }
+  PutPod(out, static_cast<uint8_t>(e.kind()));
+  switch (e.kind()) {
+    case ExprKind::kConst:
+      PutValue(out, e.const_value());
+      break;
+    case ExprKind::kColumn:
+      if (e.column_name().empty()) {
+        return Status::InvalidArgument(
+            "cannot serialize a column reference without a name");
+      }
+      PutLenString(out, e.column_name());
+      break;
+    case ExprKind::kCompare:
+      PutPod(out, static_cast<uint8_t>(e.compare_op()));
+      break;
+    case ExprKind::kArith:
+      PutPod(out, static_cast<uint8_t>(e.arith_op()));
+      break;
+    case ExprKind::kIsNull:
+      PutPod(out, static_cast<uint8_t>(e.is_null_negated() ? 1 : 0));
+      break;
+    case ExprKind::kIn:
+      PutPod(out, static_cast<uint32_t>(e.in_set().size()));
+      for (const Value& v : e.in_set()) PutValue(out, v);
+      break;
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot:
+      break;
+  }
+  for (const ExprPtr& child : e.children()) {
+    MAYBMS_RETURN_IF_ERROR(PutExpr(out, *child, depth + 1));
+  }
+  return Status::OK();
+}
+
+Result<ExprPtr> ReadExpr(SnapshotCursor* cur, int depth) {
+  if (depth > kMaxExprDepth) {
+    return Status::ParseError(StrFormat(
+        "delta predicate nests deeper than %d levels", kMaxExprDepth));
+  }
+  MAYBMS_ASSIGN_OR_RETURN(uint8_t kind, cur->Read<uint8_t>());
+  switch (static_cast<ExprKind>(kind)) {
+    case ExprKind::kConst: {
+      MAYBMS_ASSIGN_OR_RETURN(Value v, ReadValue(cur));
+      return Expr::Const(std::move(v));
+    }
+    case ExprKind::kColumn: {
+      MAYBMS_ASSIGN_OR_RETURN(std::string name, cur->ReadLenString());
+      if (name.empty()) break;
+      return Expr::Column(std::move(name));
+    }
+    case ExprKind::kCompare: {
+      MAYBMS_ASSIGN_OR_RETURN(uint8_t op, cur->Read<uint8_t>());
+      if (op > static_cast<uint8_t>(CompareOp::kGe)) break;
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr l, ReadExpr(cur, depth + 1));
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr r, ReadExpr(cur, depth + 1));
+      return Expr::Compare(static_cast<CompareOp>(op), std::move(l),
+                           std::move(r));
+    }
+    case ExprKind::kArith: {
+      MAYBMS_ASSIGN_OR_RETURN(uint8_t op, cur->Read<uint8_t>());
+      if (op > static_cast<uint8_t>(ArithOp::kDiv)) break;
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr l, ReadExpr(cur, depth + 1));
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr r, ReadExpr(cur, depth + 1));
+      return Expr::Arith(static_cast<ArithOp>(op), std::move(l),
+                         std::move(r));
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr l, ReadExpr(cur, depth + 1));
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr r, ReadExpr(cur, depth + 1));
+      return static_cast<ExprKind>(kind) == ExprKind::kAnd
+                 ? Expr::And(std::move(l), std::move(r))
+                 : Expr::Or(std::move(l), std::move(r));
+    }
+    case ExprKind::kNot: {
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr child, ReadExpr(cur, depth + 1));
+      return Expr::Not(std::move(child));
+    }
+    case ExprKind::kIsNull: {
+      MAYBMS_ASSIGN_OR_RETURN(uint8_t negated, cur->Read<uint8_t>());
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr child, ReadExpr(cur, depth + 1));
+      return Expr::IsNull(std::move(child), negated != 0);
+    }
+    case ExprKind::kIn: {
+      MAYBMS_ASSIGN_OR_RETURN(uint32_t n, ReadCount(cur, sizeof(uint8_t)));
+      std::vector<Value> set;
+      set.reserve(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        MAYBMS_ASSIGN_OR_RETURN(Value v, ReadValue(cur));
+        set.push_back(std::move(v));
+      }
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr child, ReadExpr(cur, depth + 1));
+      return Expr::In(std::move(child), std::move(set));
+    }
+  }
+  return Status::ParseError(
+      StrFormat("malformed delta predicate node (kind %u)", kind));
+}
+
+// Domain constraints append their predicate to the common fields; the
+// other kinds encode exactly as before predicates were serializable.
 Status PutConstraint(std::string* out, const Constraint& c) {
-  if (c.kind() == ConstraintKind::kDomain) {
-    // Domain predicates are expression trees; the SQL layer logs the
-    // statement text for those instead of a binary delta record.
-    return Status::InvalidArgument(
-        "domain constraints are not serializable in a delta");
+  if (c.kind() == ConstraintKind::kDomain && c.predicate() == nullptr) {
+    return Status::InvalidArgument("domain constraint has no predicate");
   }
   PutPod(out, static_cast<uint8_t>(c.kind()));
   PutLenString(out, c.relation());
   PutLenString(out, c.name());
   PutStringList(out, c.lhs());
   PutStringList(out, c.rhs());
+  if (c.kind() == ConstraintKind::kDomain) {
+    return PutExpr(out, *c.predicate(), /*depth=*/1);
+  }
   return Status::OK();
 }
 
@@ -218,11 +370,39 @@ Result<Constraint> ReadConstraint(SnapshotCursor* cur) {
     case ConstraintKind::kKey:
       return Constraint::Key(std::move(relation), std::move(lhs),
                              std::move(name));
-    case ConstraintKind::kDomain:
-      break;
+    case ConstraintKind::kDomain: {
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr pred, ReadExpr(cur, /*depth=*/1));
+      return Constraint::Domain(std::move(relation), std::move(pred),
+                                std::move(name));
+    }
   }
   return Status::ParseError(
       StrFormat("unknown delta constraint kind %u", kind));
+}
+
+void PutSchema(std::string* out, const Schema& schema) {
+  PutPod(out, static_cast<uint32_t>(schema.size()));
+  for (const Attribute& a : schema.attrs()) {
+    PutLenString(out, a.name);
+    PutPod(out, static_cast<uint8_t>(a.type));
+  }
+}
+
+Result<Schema> ReadSchema(SnapshotCursor* cur) {
+  MAYBMS_ASSIGN_OR_RETURN(uint32_t n,
+                          ReadCount(cur, sizeof(uint32_t) + sizeof(uint8_t)));
+  Schema schema;
+  for (uint32_t i = 0; i < n; ++i) {
+    MAYBMS_ASSIGN_OR_RETURN(std::string name, cur->ReadLenString());
+    MAYBMS_ASSIGN_OR_RETURN(uint8_t type, cur->Read<uint8_t>());
+    if (type > static_cast<uint8_t>(ValueType::kString)) {
+      return Status::ParseError(
+          StrFormat("unknown delta attribute type %u", type));
+    }
+    Status st = schema.Add({std::move(name), static_cast<ValueType>(type)});
+    if (!st.ok()) return Status::ParseError(st.message());
+  }
+  return schema;
 }
 
 }  // namespace
@@ -262,10 +442,17 @@ Result<std::string> DeltaBatch::Serialize() const {
             PutLenString(&out, o.relation);
             PutStringList(&out, o.key_attrs);
             PutLenString(&out, o.weight_attr);
-          } else {
-            static_assert(std::is_same_v<T, EnforceOp>);
+          } else if constexpr (std::is_same_v<T, EnforceOp>) {
             PutPod(&out, static_cast<uint8_t>(OpTag::kEnforce));
             MAYBMS_RETURN_IF_ERROR(PutConstraint(&out, o.constraint));
+          } else if constexpr (std::is_same_v<T, CreateRelationOp>) {
+            PutPod(&out, static_cast<uint8_t>(OpTag::kCreateRelation));
+            PutLenString(&out, o.name);
+            PutSchema(&out, o.schema);
+          } else {
+            static_assert(std::is_same_v<T, DropRelationOp>);
+            PutPod(&out, static_cast<uint8_t>(OpTag::kDropRelation));
+            PutLenString(&out, o.name);
           }
           return Status::OK();
         },
@@ -282,14 +469,15 @@ Result<DeltaBatch> DeltaBatch::Deserialize(std::string_view payload) {
     return Status::ParseError(
         StrFormat("unsupported delta version %u", version));
   }
-  MAYBMS_ASSIGN_OR_RETURN(uint32_t n_ops, cur.Read<uint32_t>());
+  MAYBMS_ASSIGN_OR_RETURN(uint32_t n_ops, ReadCount(&cur, sizeof(uint8_t)));
   DeltaBatch batch;
   for (uint32_t i = 0; i < n_ops; ++i) {
     MAYBMS_ASSIGN_OR_RETURN(uint8_t tag, cur.Read<uint8_t>());
     switch (static_cast<OpTag>(tag)) {
       case OpTag::kInsert: {
         MAYBMS_ASSIGN_OR_RETURN(std::string relation, cur.ReadLenString());
-        MAYBMS_ASSIGN_OR_RETURN(uint32_t n_cells, cur.Read<uint32_t>());
+        MAYBMS_ASSIGN_OR_RETURN(uint32_t n_cells,
+                                ReadCount(&cur, 2 * sizeof(uint8_t)));
         std::vector<CellSpec> cells;
         cells.reserve(n_cells);
         for (uint32_t c = 0; c < n_cells; ++c) {
@@ -306,20 +494,20 @@ Result<DeltaBatch> DeltaBatch::Deserialize(std::string_view payload) {
         break;
       }
       case OpTag::kReweight: {
-        MAYBMS_ASSIGN_OR_RETURN(uint64_t cid, cur.Read<uint64_t>());
+        MAYBMS_ASSIGN_OR_RETURN(ComponentId cid, ReadComponentId(&cur));
         MAYBMS_ASSIGN_OR_RETURN(uint64_t n_rows, cur.Read<uint64_t>());
         std::vector<double> probs;
         MAYBMS_RETURN_IF_ERROR(
             cur.ReadArray(static_cast<size_t>(n_rows), &probs));
-        batch.Reweight(static_cast<ComponentId>(cid), std::move(probs));
+        batch.Reweight(cid, std::move(probs));
         break;
       }
       case OpTag::kSetCell: {
-        MAYBMS_ASSIGN_OR_RETURN(uint64_t cid, cur.Read<uint64_t>());
+        MAYBMS_ASSIGN_OR_RETURN(ComponentId cid, ReadComponentId(&cur));
         MAYBMS_ASSIGN_OR_RETURN(uint32_t row, cur.Read<uint32_t>());
         MAYBMS_ASSIGN_OR_RETURN(uint32_t slot, cur.Read<uint32_t>());
         MAYBMS_ASSIGN_OR_RETURN(Value v, ReadValue(&cur));
-        batch.SetCell(static_cast<ComponentId>(cid), row, slot, std::move(v));
+        batch.SetCell(cid, row, slot, std::move(v));
         break;
       }
       case OpTag::kRepair: {
@@ -334,6 +522,17 @@ Result<DeltaBatch> DeltaBatch::Deserialize(std::string_view payload) {
       case OpTag::kEnforce: {
         MAYBMS_ASSIGN_OR_RETURN(Constraint c, ReadConstraint(&cur));
         batch.Enforce(std::move(c));
+        break;
+      }
+      case OpTag::kCreateRelation: {
+        MAYBMS_ASSIGN_OR_RETURN(std::string name, cur.ReadLenString());
+        MAYBMS_ASSIGN_OR_RETURN(Schema schema, ReadSchema(&cur));
+        batch.CreateRelation(std::move(name), std::move(schema));
+        break;
+      }
+      case OpTag::kDropRelation: {
+        MAYBMS_ASSIGN_OR_RETURN(std::string name, cur.ReadLenString());
+        batch.DropRelation(std::move(name));
         break;
       }
       default:
@@ -367,9 +566,14 @@ std::string DeltaBatch::ToString() const {
           } else if constexpr (std::is_same_v<T, RepairOp>) {
             out += StrFormat("repair key %s (%zu attrs)\n", o.relation.c_str(),
                              o.key_attrs.size());
-          } else {
-            static_assert(std::is_same_v<T, EnforceOp>);
+          } else if constexpr (std::is_same_v<T, EnforceOp>) {
             out += "enforce " + o.constraint.ToString() + "\n";
+          } else if constexpr (std::is_same_v<T, CreateRelationOp>) {
+            out += StrFormat("create relation %s %s\n", o.name.c_str(),
+                             o.schema.ToString().c_str());
+          } else {
+            static_assert(std::is_same_v<T, DropRelationOp>);
+            out += StrFormat("drop relation %s\n", o.name.c_str());
           }
         },
         op);
@@ -531,13 +735,19 @@ Result<DeltaEffects> WsdDb::ApplyDelta(const DeltaBatch& batch) {
             effects.repair_conflicting_groups += rs.conflicting_groups;
             effects.repair_log2_worlds_added += rs.log2_worlds_added;
             touched_rels.push_back(ToLower(o.relation));
-          } else {
-            static_assert(std::is_same_v<T, DeltaBatch::EnforceOp>);
+          } else if constexpr (std::is_same_v<T, DeltaBatch::EnforceOp>) {
             MAYBMS_ASSIGN_OR_RETURN(EnforceStats es,
                                     maybms::Enforce(this, o.constraint));
             effects.enforce_removed_mass += es.removed_mass;
             effects.enforce_rows_removed += es.rows_removed;
             touched_rels.push_back(ToLower(o.constraint.relation()));
+          } else if constexpr (std::is_same_v<T,
+                                              DeltaBatch::CreateRelationOp>) {
+            MAYBMS_RETURN_IF_ERROR(CreateRelation(o.name, o.schema));
+            touched_rels.push_back(ToLower(o.name));
+          } else {
+            static_assert(std::is_same_v<T, DeltaBatch::DropRelationOp>);
+            return DropRelation(o.name);
           }
           return Status::OK();
         },

@@ -4,9 +4,10 @@
 // complete request lines dispatch to a TaskPool of N workers, each
 // executing statements through the connection's own sql::Session —
 // reads against a snapshot-isolated COW copy of the catalog, writes
-// funneled through SharedCatalog::ExecuteWrite (per-relation locks +
-// WAL-ordered commits). One statement runs per connection at a time, so
-// responses keep request order; distinct connections run in parallel.
+// funneled through SharedCatalog::ExecuteWrite (one commit lock, so
+// commits happen in WAL order). One statement runs per connection at a
+// time, so responses keep request order; distinct connections run in
+// parallel.
 //
 // Robustness: admission control caps statements in flight across the
 // server (excess requests get an immediate ERR instead of unbounded

@@ -49,25 +49,6 @@ WsdDb SharedCatalog::SnapshotCopy() const {
   return WsdDb(*v);  // COW: shares tuple vectors and components
 }
 
-std::string SharedCatalog::TargetRelation(const sql::Statement& stmt) {
-  switch (stmt.kind) {
-    case sql::Statement::Kind::kCreateTable:
-      return stmt.create_table->name;
-    case sql::Statement::Kind::kInsert:
-      return stmt.insert->table;
-    case sql::Statement::Kind::kDropTable:
-      return stmt.drop_table->name;
-    case sql::Statement::Kind::kEnforce:
-      return stmt.enforce->table;
-    case sql::Statement::Kind::kRepair:
-      return stmt.repair->table;
-    case sql::Statement::Kind::kDelete:
-      return stmt.delete_stmt->table;
-    default:
-      return std::string();  // SAVE/LOAD/CHECKPOINT: catalog-wide
-  }
-}
-
 Result<sql::StatementResult> SharedCatalog::ExecuteWrite(
     const sql::Statement& stmt) {
   MAYBMS_CHECK(!IsReadStatement(stmt)) << "read routed to ExecuteWrite";
@@ -84,29 +65,9 @@ Result<sql::StatementResult> SharedCatalog::ExecuteWrite(
         "load eagerly (snapshots served to sessions must be resident)");
   }
 
-  const std::string target = TargetRelation(stmt);
-  if (target.empty()) {
-    // Catalog-wide: exclusive against every per-relation writer.
-    std::unique_lock<std::shared_mutex> excl(relation_locks_);
-    std::lock_guard<std::mutex> commit(commit_mu_);
-    auto result = writer_.ExecuteParsed(stmt);
-    PublishLocked();
-    return result;
-  }
-
-  std::shared_lock<std::shared_mutex> shared(relation_locks_);
-  std::mutex* rel_mu;
-  {
-    std::lock_guard<std::mutex> lock(lock_table_mu_);
-    std::unique_ptr<std::mutex>& slot = lock_table_[target];
-    if (slot == nullptr) slot = std::make_unique<std::mutex>();
-    rel_mu = slot.get();
-  }
-  std::lock_guard<std::mutex> rel_lock(*rel_mu);
-  // ENFORCE can merge components shared with other relations' tuples
-  // and REPAIR allocates component ids — both read/write state beyond
-  // the target relation. The commit mutex already covers them: every
-  // write to the authoritative database happens under it, in WAL order.
+  // One lock for every writer: ENFORCE can merge components shared with
+  // other relations' tuples and REPAIR allocates component ids, so no
+  // write is confined to its target relation.
   std::lock_guard<std::mutex> commit(commit_mu_);
   auto result = writer_.ExecuteParsed(stmt);
   PublishLocked();

@@ -9,11 +9,9 @@
 //             SELECT/CONF runs against one immutable version no matter
 //             how many writes commit meanwhile.
 //
-//   Writers   are serialized per target relation (a lock table keyed by
-//             relation name; catalog-wide statements like SAVE/LOAD/
-//             CHECKPOINT take the table exclusively), then funnel
-//             through one commit mutex around the writer session — the
-//             existing WAL appends-and-fsyncs *before* applying, so the
+//   Writers   are serialized by one commit mutex around the writer
+//             session. Every mutation reaches the log as one kDelta
+//             record appended and fsynced *before* it applies, so the
 //             log order equals the commit order and durability
 //             semantics are exactly the embedded engine's. After the
 //             statement applies, a fresh COW copy of the database is
@@ -25,11 +23,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
-#include <string>
 
 #include "common/result.h"
 #include "core/wsd.h"
@@ -79,8 +74,6 @@ class SharedCatalog {
   size_t RetiredVersions() const { return epochs_.LimboSize(); }
 
  private:
-  /// The relation a statement writes, or "" for catalog-wide ones.
-  static std::string TargetRelation(const sql::Statement& stmt);
   /// Publishes writer_.db() as the next version. commit_mu_ held.
   void PublishLocked();
 
@@ -91,14 +84,8 @@ class SharedCatalog {
   std::atomic<const WsdDb*> published_{nullptr};
   std::atomic<uint64_t> version_{0};
 
-  /// Per-relation writers hold this shared + their relation's mutex;
-  /// catalog-wide writers hold it exclusive.
-  std::shared_mutex relation_locks_;
-  std::mutex lock_table_mu_;  ///< guards lock_table_
-  std::map<std::string, std::unique_ptr<std::mutex>> lock_table_;
-
-  /// Serializes WAL-append + apply + publish — commit order must equal
-  /// log order for replay to reproduce the database.
+  /// Serializes every writer: WAL-append + apply + publish. Commit
+  /// order must equal log order for replay to reproduce the database.
   std::mutex commit_mu_;
   sql::Session writer_;
 };

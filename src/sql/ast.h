@@ -157,7 +157,7 @@ struct LoadDbStmt {
 
 /// CHECKPOINT: rewrites the attached snapshot from current state and
 /// resets its write-ahead log (also triggered automatically every
-/// DurabilityOptions::auto_checkpoint_records logged statements).
+/// DurabilityOptions::auto_checkpoint_records logged mutations).
 struct CheckpointStmt {};
 
 /// A parsed statement (exactly one member is set).
@@ -191,9 +191,6 @@ struct Statement {
   std::optional<CheckpointStmt> checkpoint;
   std::optional<SetStmt> set;
   std::optional<DeleteStmt> delete_stmt;
-  /// The statement's own SQL text (trimmed; no trailing ';'), captured by
-  /// the parser — what the session writes to the write-ahead log.
-  std::string source_text;
 };
 
 }  // namespace sql

@@ -134,6 +134,81 @@ const Knob* FindKnob(const std::string& name) {
   return nullptr;
 }
 
+Constraint EnforcedConstraint(const EnforceStmt& stmt) {
+  switch (stmt.kind) {
+    case EnforceStmt::Kind::kCheck:
+      return Constraint::Domain(stmt.table, stmt.check);
+    case EnforceStmt::Kind::kKey:
+      return Constraint::Key(stmt.table, stmt.lhs);
+    case EnforceStmt::Kind::kFd:
+      break;
+  }
+  return Constraint::FunctionalDependency(stmt.table, stmt.lhs, stmt.rhs);
+}
+
+// The one statement → delta conversion, shared by live execution and the
+// replay of legacy kStatement WAL records. Empty for statements that do
+// not mutate the catalog.
+DeltaBatch LowerToDelta(const Statement& stmt) {
+  DeltaBatch batch;
+  switch (stmt.kind) {
+    case Statement::Kind::kCreateTable:
+      batch.CreateRelation(stmt.create_table->name,
+                           stmt.create_table->schema);
+      break;
+    case Statement::Kind::kDropTable:
+      batch.DropRelation(stmt.drop_table->name);
+      break;
+    case Statement::Kind::kInsert:
+      // One insert op per row: row-at-a-time application (and its
+      // deterministic half-apply on a mid-statement error) is preserved
+      // by ApplyDelta's fail-fast op loop.
+      for (const auto& row : stmt.insert->rows) {
+        std::vector<CellSpec> cells;
+        cells.reserve(row.size());
+        for (const auto& cell : row) {
+          if (!cell.is_orset) {
+            cells.push_back(CellSpec::Certain(cell.value));
+          } else if (cell.probs.empty()) {
+            cells.push_back(CellSpec::UniformOrSet(cell.alternatives));
+          } else {
+            std::vector<Alternative> alts;
+            for (size_t i = 0; i < cell.alternatives.size(); ++i) {
+              alts.push_back({cell.alternatives[i], cell.probs[i]});
+            }
+            cells.push_back(CellSpec::OrSet(std::move(alts)));
+          }
+        }
+        batch.Insert(stmt.insert->table, std::move(cells));
+      }
+      break;
+    case Statement::Kind::kRepair:
+      batch.RepairKey(stmt.repair->table, stmt.repair->key,
+                      stmt.repair->weight);
+      break;
+    case Statement::Kind::kEnforce:
+      batch.Enforce(EnforcedConstraint(*stmt.enforce));
+      break;
+    case Statement::Kind::kDelete:
+      batch.EvictOldest(stmt.delete_stmt->table, stmt.delete_stmt->count);
+      break;
+    default:
+      break;
+  }
+  return batch;
+}
+
+// Decodes one WAL record into the batch it replays as.
+Result<DeltaBatch> DecodeWalRecord(const wal::WalRecord& rec) {
+  if (rec.type == wal::RecordType::kDelta) {
+    return DeltaBatch::Deserialize(rec.payload);
+  }
+  // Legacy: logs written before every mutation became a delta record
+  // hold the SQL text of each mutating statement.
+  MAYBMS_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(rec.payload));
+  return LowerToDelta(stmt);
+}
+
 }  // namespace
 
 Status Session::SetOption(const std::string& name, const Value& value) {
@@ -213,20 +288,6 @@ Status Session::EnsureResident() {
   return Status::OK();
 }
 
-bool Session::IsLoggedKind(Statement::Kind kind) {
-  switch (kind) {
-    case Statement::Kind::kCreateTable:
-    case Statement::Kind::kDropTable:
-    case Statement::Kind::kInsert:
-    case Statement::Kind::kEnforce:
-    case Statement::Kind::kRepair:
-    case Statement::Kind::kDelete:
-      return true;
-    default:
-      return false;
-  }
-}
-
 Result<uint64_t> Session::WriteSnapshot(const std::string& path,
                                         SnapshotFormat format,
                                         uint64_t* out_bytes) {
@@ -258,67 +319,19 @@ Status Session::Checkpoint() {
   return Status::OK();
 }
 
-size_t Session::ReplayWal(const std::vector<wal::WalRecord>& records) {
-  replaying_ = true;
-  size_t applied = 0;
+void Session::ReplayWal(const std::vector<wal::WalRecord>& records) {
   for (const wal::WalRecord& rec : records) {
-    // Errors are deliberately dropped: a statement or batch that failed
-    // (or half-applied, e.g. a multi-row INSERT hitting a type error on
-    // its second row) when first executed does the same on replay — the
-    // engine applies row-level mutations deterministically in record
-    // order, so the recovered state matches the crashed one.
-    if (rec.type == wal::RecordType::kDelta) {
-      Result<DeltaBatch> batch = DeltaBatch::Deserialize(rec.payload);
-      if (batch.ok() && db_.ApplyDelta(*batch).ok()) ++applied;
-      continue;
-    }
-    Result<StatementResult> r = Execute(rec.payload);
-    if (r.ok()) ++applied;
+    // Errors are deliberately dropped: a batch that failed (or
+    // half-applied, e.g. a multi-row INSERT hitting a type error on its
+    // second row) when first executed does the same on replay — ops
+    // apply deterministically in record order, so the recovered state
+    // matches the crashed one.
+    Result<DeltaBatch> batch = DecodeWalRecord(rec);
+    if (batch.ok()) (void)db_.ApplyDelta(*batch);
   }
-  replaying_ = false;
-  return applied;
 }
 
 Result<StatementResult> Session::ExecuteParsed(const Statement& stmt) {
-  const bool log_it =
-      !replaying_ && attach_.has_value() && IsLoggedKind(stmt.kind);
-  if (log_it) {
-    if (!attach_->writer) {
-      return Status::Internal("durable attachment has no WAL writer");
-    }
-    if (stmt.source_text.empty()) {
-      // Statements built by hand (not through the parser) carry no SQL
-      // text and therefore cannot be replayed; refusing is safer than
-      // silently leaving a hole in the log.
-      return Status::InvalidArgument(
-          "cannot log a statement without source text to the WAL; "
-          "detach (checkpoint) or execute through the parser");
-    }
-    // Append + fsync BEFORE applying: once the statement acknowledges,
-    // it is durable; if the append fails nothing was applied.
-    MAYBMS_ASSIGN_OR_RETURN(
-        uint64_t lsn,
-        attach_->writer->Append(wal::RecordType::kStatement,
-                                stmt.source_text));
-    (void)lsn;
-  }
-  MAYBMS_ASSIGN_OR_RETURN(StatementResult result, ExecuteParsedImpl(stmt));
-  if (log_it && options_.durability.auto_checkpoint_records > 0 &&
-      attach_ && attach_->writer &&
-      attach_->writer->record_count() >=
-          options_.durability.auto_checkpoint_records) {
-    Status st = Checkpoint();
-    if (!st.ok()) {
-      // Non-fatal: the statement itself is durable in the log; the
-      // checkpoint retries on the next threshold crossing.
-      result.message +=
-          "\n(warning: auto-checkpoint failed: " + st.ToString() + ")";
-    }
-  }
-  return result;
-}
-
-Result<StatementResult> Session::ExecuteParsedImpl(const Statement& stmt) {
   // SELECT and EXPLAIN run against the mapped snapshot directly (that is
   // the point of MAPPED); everything else mutates or fully reads the
   // catalog, so it first forces the snapshot resident.
@@ -341,21 +354,13 @@ Result<StatementResult> Session::ExecuteParsedImpl(const Statement& stmt) {
   }
   StatementResult result;
   switch (stmt.kind) {
-    case Statement::Kind::kCreateTable: {
-      MAYBMS_RETURN_IF_ERROR(db_.CreateRelation(stmt.create_table->name,
-                                                stmt.create_table->schema));
-      result.message =
-          "created table " + stmt.create_table->name + " " +
-          stmt.create_table->schema.ToString();
-      return result;
-    }
-    case Statement::Kind::kDropTable: {
-      MAYBMS_RETURN_IF_ERROR(db_.DropRelation(stmt.drop_table->name));
-      result.message = "dropped table " + stmt.drop_table->name;
-      return result;
-    }
+    case Statement::Kind::kCreateTable:
+    case Statement::Kind::kDropTable:
     case Statement::Kind::kInsert:
-      return RunInsert(*stmt.insert);
+    case Statement::Kind::kEnforce:
+    case Statement::Kind::kRepair:
+    case Statement::Kind::kDelete:
+      return RunMutation(stmt);
     case Statement::Kind::kSelect:
       return RunSelect(*stmt.select);
     case Statement::Kind::kExplain: {
@@ -387,22 +392,6 @@ Result<StatementResult> Session::ExecuteParsedImpl(const Statement& stmt) {
     }
     case Statement::Kind::kShow:
       return RunShow(*stmt.show);
-    case Statement::Kind::kEnforce:
-      return RunEnforce(*stmt.enforce);
-    case Statement::Kind::kRepair: {
-      DeltaBatch batch;
-      batch.RepairKey(stmt.repair->table, stmt.repair->key,
-                      stmt.repair->weight);
-      MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
-      StatementResult result;
-      result.message = StrFormat(
-          "repaired key (%s) in %s: %zu group(s), %zu conflicting, "
-          "world count x 2^%.4g",
-          Join(stmt.repair->key, ",").c_str(), stmt.repair->table.c_str(),
-          effects.repair_groups, effects.repair_conflicting_groups,
-          effects.repair_log2_worlds_added);
-      return result;
-    }
     case Statement::Kind::kSaveDb:
       return RunSaveDb(*stmt.save_db);
     case Statement::Kind::kLoadDb:
@@ -415,10 +404,57 @@ Result<StatementResult> Session::ExecuteParsedImpl(const Statement& stmt) {
     }
     case Statement::Kind::kSet:
       return RunSet(*stmt.set);
-    case Statement::Kind::kDelete:
-      return RunDelete(*stmt.delete_stmt);
   }
   return Status::Internal("unreachable statement kind");
+}
+
+Result<StatementResult> Session::RunMutation(const Statement& stmt) {
+  const DeltaBatch batch = LowerToDelta(stmt);
+  const bool enforce = stmt.kind == Statement::Kind::kEnforce;
+  const double log2_before = enforce ? db_.Log2WorldCount() : 0.0;
+  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, ApplyDelta(batch));
+  StatementResult result;
+  switch (stmt.kind) {
+    case Statement::Kind::kCreateTable:
+      result.message = "created table " + stmt.create_table->name + " " +
+                       stmt.create_table->schema.ToString();
+      break;
+    case Statement::Kind::kDropTable:
+      result.message = "dropped table " + stmt.drop_table->name;
+      break;
+    case Statement::Kind::kInsert:
+      result.message = StrFormat("inserted %zu tuple(s) into %s",
+                                 effects.tuples_inserted,
+                                 stmt.insert->table.c_str());
+      break;
+    case Statement::Kind::kRepair:
+      result.message = StrFormat(
+          "repaired key (%s) in %s: %zu group(s), %zu conflicting, "
+          "world count x 2^%.4g",
+          Join(stmt.repair->key, ",").c_str(), stmt.repair->table.c_str(),
+          effects.repair_groups, effects.repair_conflicting_groups,
+          effects.repair_log2_worlds_added);
+      break;
+    case Statement::Kind::kEnforce:
+      result.message = StrFormat(
+          "enforced %s: removed probability mass %.6g, %zu component "
+          "row(s) deleted; log2(worlds) %.4g -> %.4g",
+          std::get<DeltaBatch::EnforceOp>(batch.ops().front())
+              .constraint.ToString()
+              .c_str(),
+          effects.enforce_removed_mass, effects.enforce_rows_removed,
+          log2_before, db_.Log2WorldCount());
+      break;
+    case Statement::Kind::kDelete:
+      result.message = StrFormat(
+          "evicted %zu tuple(s) from %s (%zu component(s) collected)",
+          effects.tuples_evicted, stmt.delete_stmt->table.c_str(),
+          effects.removed_components.size());
+      break;
+    default:
+      return Status::Internal("not a mutating statement");
+  }
+  return result;
 }
 
 Result<StatementResult> Session::RunSaveDb(const SaveDbStmt& stmt) {
@@ -620,40 +656,6 @@ Status Session::AttachForLoad(const std::string& db_path,
   return Status::OK();
 }
 
-Result<StatementResult> Session::RunInsert(const InsertStmt& stmt) {
-  MAYBMS_ASSIGN_OR_RETURN(const WsdRelation* rel, db_.GetRelation(stmt.table));
-  (void)rel;
-  // One delta batch per statement: row-at-a-time application (and its
-  // deterministic half-apply on a mid-statement error) is preserved by
-  // ApplyDelta's fail-fast op loop.
-  DeltaBatch batch;
-  for (const auto& row : stmt.rows) {
-    std::vector<CellSpec> cells;
-    cells.reserve(row.size());
-    for (const auto& cell : row) {
-      if (!cell.is_orset) {
-        cells.push_back(CellSpec::Certain(cell.value));
-        continue;
-      }
-      if (cell.probs.empty()) {
-        cells.push_back(CellSpec::UniformOrSet(cell.alternatives));
-      } else {
-        std::vector<Alternative> alts;
-        for (size_t i = 0; i < cell.alternatives.size(); ++i) {
-          alts.push_back({cell.alternatives[i], cell.probs[i]});
-        }
-        cells.push_back(CellSpec::OrSet(std::move(alts)));
-      }
-    }
-    batch.Insert(stmt.table, std::move(cells));
-  }
-  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
-  StatementResult result;
-  result.message = StrFormat("inserted %zu tuple(s) into %s",
-                             effects.tuples_inserted, stmt.table.c_str());
-  return result;
-}
-
 Result<StatementResult> Session::RunSelect(const SelectStmt& stmt) {
   MAYBMS_ASSIGN_OR_RETURN(PlannedQuery q, PlanSelect(stmt, db_));
   MAYBMS_ASSIGN_OR_RETURN(PlanPtr plan,
@@ -760,42 +762,14 @@ Result<StatementResult> Session::RunSelect(const SelectStmt& stmt) {
   return Status::Internal("unreachable select mode");
 }
 
-Result<StatementResult> Session::RunEnforce(const EnforceStmt& stmt) {
-  Constraint c = [&] {
-    switch (stmt.kind) {
-      case EnforceStmt::Kind::kCheck:
-        return Constraint::Domain(stmt.table, stmt.check);
-      case EnforceStmt::Kind::kKey:
-        return Constraint::Key(stmt.table, stmt.lhs);
-      case EnforceStmt::Kind::kFd:
-      default:
-        return Constraint::FunctionalDependency(stmt.table, stmt.lhs,
-                                                stmt.rhs);
-    }
-  }();
-  const double log2_before = db_.Log2WorldCount();
-  DeltaBatch batch;
-  batch.Enforce(c);
-  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
-  StatementResult result;
-  result.message = StrFormat(
-      "enforced %s: removed probability mass %.6g, %zu component row(s) "
-      "deleted; log2(worlds) %.4g -> %.4g",
-      c.ToString().c_str(), effects.enforce_removed_mass,
-      effects.enforce_rows_removed, log2_before, db_.Log2WorldCount());
-  return result;
-}
-
 Result<DeltaEffects> Session::ApplyDelta(const DeltaBatch& batch) {
   MAYBMS_RETURN_IF_ERROR(EnsureResident());
-  const bool log_it = !replaying_ && attach_.has_value();
-  if (log_it) {
+  if (attach_) {
     if (!attach_->writer) {
       return Status::Internal("durable attachment has no WAL writer");
     }
-    // Serialize + append + fsync BEFORE applying, mirroring the
-    // statement path: an acknowledged batch is durable; a failed append
-    // applies nothing.
+    // Serialize + append + fsync BEFORE applying: an acknowledged batch
+    // is durable; a failed serialization or append applies nothing.
     MAYBMS_ASSIGN_OR_RETURN(std::string payload, batch.Serialize());
     MAYBMS_ASSIGN_OR_RETURN(
         uint64_t lsn,
@@ -803,12 +777,12 @@ Result<DeltaEffects> Session::ApplyDelta(const DeltaBatch& batch) {
     (void)lsn;
   }
   MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
-  if (log_it && options_.durability.auto_checkpoint_records > 0 &&
-      attach_ && attach_->writer &&
+  if (attach_ && attach_->writer &&
+      options_.durability.auto_checkpoint_records > 0 &&
       attach_->writer->record_count() >=
           options_.durability.auto_checkpoint_records) {
-    // Non-fatal, like the statement path: the batch is durable in the
-    // log either way; a failed checkpoint retries on the next crossing.
+    // Non-fatal: the batch is durable in the log either way; a failed
+    // checkpoint retries on the next threshold crossing.
     (void)Checkpoint();
   }
   return effects;
@@ -820,20 +794,6 @@ Result<StatementResult> Session::RunSet(const SetStmt& stmt) {
   StatementResult result;
   result.message =
       StrFormat("set %s = %s", knob->name, knob->get(options_).c_str());
-  return result;
-}
-
-Result<StatementResult> Session::RunDelete(const DeleteStmt& stmt) {
-  MAYBMS_ASSIGN_OR_RETURN(const WsdRelation* rel, db_.GetRelation(stmt.table));
-  (void)rel;
-  DeltaBatch batch;
-  batch.EvictOldest(stmt.table, stmt.count);
-  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
-  StatementResult result;
-  result.message = StrFormat(
-      "evicted %zu tuple(s) from %s (%zu component(s) collected)",
-      effects.tuples_evicted, stmt.table.c_str(),
-      effects.removed_components.size());
   return result;
 }
 

@@ -30,17 +30,19 @@ namespace sql {
 
 /// Durability knobs. When the WAL is enabled, SAVE DATABASE (and LOAD
 /// DATABASE of a saved snapshot) attaches the session to the snapshot
-/// file: every subsequent mutating statement is appended to
-/// `<snapshot>.wal` and fsynced *before* it is applied, so a crash loses
-/// at most the statement that never acknowledged. LOAD DATABASE replays
+/// file: every subsequent mutation — a mutating statement or a delta
+/// batch — is appended to `<snapshot>.wal` as one kDelta record and
+/// fsynced *before* it is applied, so a crash loses at most the
+/// mutation that never acknowledged. LOAD DATABASE replays
 /// any log newer than the snapshot; CHECKPOINT (or the automatic
 /// threshold) rewrites the snapshot and resets the log.
 struct DurabilityOptions {
   /// Master switch; when false SAVE/LOAD never attach a log.
   bool wal_enabled = true;
-  /// Checkpoint automatically once the log holds this many statements
-  /// (0 = only on explicit CHECKPOINT). A failed auto-checkpoint is a
-  /// warning, not a statement failure — the log keeps the data safe.
+  /// Checkpoint automatically once the log holds this many records
+  /// (0 = only on explicit CHECKPOINT). A failed auto-checkpoint does
+  /// not fail the mutation — the log keeps the data safe — and is
+  /// retried at the next record.
   size_t auto_checkpoint_records = 256;
 };
 
@@ -113,29 +115,12 @@ class Session {
   /// query returns (e.g. approx.seed).
   uint64_t SettingsFingerprint() const;
 
-  // Pre-aggregate accessors, kept as shims over options(); prefer
-  // options()/mutable_options() in new code.
-  const ConfidenceOptions& conf_options() const { return options_.conf; }
-  ConfidenceOptions& mutable_conf_options() { return options_.conf; }
-  const ApproxOptions& approx_options() const { return options_.approx; }
-  ApproxOptions& mutable_approx_options() { return options_.approx; }
-  const ExecOptions& exec_options() const { return options_.exec; }
-  ExecOptions& mutable_exec_options() { return options_.exec; }
-  const OptimizerOptions& optimizer_options() const {
-    return options_.optimizer;
-  }
-  OptimizerOptions& mutable_optimizer_options() { return options_.optimizer; }
-  const DurabilityOptions& durability_options() const {
-    return options_.durability;
-  }
-  DurabilityOptions& mutable_durability_options() {
-    return options_.durability;
-  }
-
   /// Applies one delta batch (core/delta.h) — the streaming ingest
-  /// entry point. With a durable attachment the serialized batch is
-  /// appended and fsynced as one wal::RecordType::kDelta record BEFORE
-  /// applying, mirroring the statement path's logging discipline.
+  /// entry point, and the path every mutating statement lowers to. With
+  /// a durable attachment the serialized batch is appended and fsynced
+  /// as one wal::RecordType::kDelta record BEFORE applying, and the
+  /// auto-checkpoint threshold is checked after; a failed
+  /// auto-checkpoint is not an error (the record is durable either way).
   Result<DeltaEffects> ApplyDelta(const DeltaBatch& batch);
 
   /// The session's content-keyed confidence cache, created lazily;
@@ -155,7 +140,7 @@ class Session {
   std::string attached_path() const {
     return attach_ ? attach_->db_path : std::string();
   }
-  /// Statements currently in the attached log (0 when none).
+  /// Records currently in the attached log (0 when none).
   uint64_t wal_record_count() const {
     return attach_ && attach_->writer ? attach_->writer->record_count() : 0;
   }
@@ -192,20 +177,17 @@ class Session {
     std::optional<wal::WalWriter> writer;
   };
 
-  Result<StatementResult> ExecuteParsedImpl(const Statement& stmt);
   Result<StatementResult> RunSelect(const SelectStmt& stmt);
-  Result<StatementResult> RunInsert(const InsertStmt& stmt);
-  Result<StatementResult> RunEnforce(const EnforceStmt& stmt);
+  /// CREATE/DROP/INSERT/REPAIR/ENFORCE/DELETE: lowers the statement to a
+  /// delta batch and applies it through ApplyDelta.
+  Result<StatementResult> RunMutation(const Statement& stmt);
   Result<StatementResult> RunSet(const SetStmt& stmt);
-  Result<StatementResult> RunDelete(const DeleteStmt& stmt);
   Result<StatementResult> RunShow(const ShowStmt& stmt);
   Result<StatementResult> RunSaveDb(const SaveDbStmt& stmt);
   Result<StatementResult> RunLoadDb(const LoadDbStmt& stmt);
   /// Statements that mutate or read the whole catalog force the mapped
   /// snapshot fully resident (into db_) and drop the mapping.
   Status EnsureResident();
-  /// True for statement kinds whose effects must reach the WAL.
-  static bool IsLoggedKind(Statement::Kind kind);
   /// Serializes db_ to `path` atomically; returns the bytes' fingerprint.
   Result<uint64_t> WriteSnapshot(const std::string& path,
                                  SnapshotFormat format, uint64_t* out_bytes);
@@ -215,10 +197,12 @@ class Session {
   Status AttachForLoad(const std::string& db_path, const std::string& wal_path,
                        uint64_t fingerprint, SnapshotFormat format,
                        const Result<wal::WalContents>& contents);
-  /// Applies WAL records to db_ (errors per record are deliberately
-  /// ignored: a statement that failed when first executed fails — or
-  /// half-applies — identically on replay). Returns records applied.
-  size_t ReplayWal(const std::vector<wal::WalRecord>& records);
+  /// Applies WAL records to db_ directly, never through the logging
+  /// path. Legacy kStatement records are parsed and lowered to a batch
+  /// first. Errors per record are deliberately ignored: a mutation that
+  /// failed when first executed fails — or half-applies — identically
+  /// on replay.
+  void ReplayWal(const std::vector<wal::WalRecord>& records);
 
   WsdDb db_;
   /// Engaged after LOAD DATABASE ... MAPPED; db_ then holds the
@@ -232,8 +216,6 @@ class Session {
   size_t conf_cache_capacity_ = 0;
   Env* env_ = nullptr;
   std::optional<DurableAttachment> attach_;
-  /// True while replaying a WAL: suppresses re-logging.
-  bool replaying_ = false;
 };
 
 }  // namespace sql

@@ -8,7 +8,11 @@
 //     phase), ECOUNT and ESUM;
 //   - serialize → deserialize → apply reproduces the exact same
 //     database state as applying the original batch (the WAL-replay
-//     contract), including after mid-batch failures.
+//     contract), including after mid-batch failures, for every op kind:
+//     relation create/drop and domain-predicate ENFORCE included;
+//   - hostile WAL bytes (every truncation and every single-byte flip of
+//     a batch holding every op kind) decode to a ParseError or a valid
+//     batch, never a crash.
 //
 // MAYBMS_DELTA_FUZZ_ITERS raises the iteration budget for the long
 // `ctest -L fuzz` entry.
@@ -24,6 +28,7 @@
 #include "core/delta.h"
 #include "core/materialized_conf.h"
 #include "sql/session.h"
+#include "storage/snapshot_io.h"
 #include "tests/test_util.h"
 
 namespace maybms {
@@ -40,14 +45,62 @@ size_t IterationBudget(const char* env_var, size_t default_iters) {
   return v > 0 ? static_cast<size_t>(v) : default_iters;
 }
 
+/// A random domain predicate over `schema`'s columns, drawing from every
+/// ExprKind. Type mismatches are possible on purpose (they fail the
+/// ENFORCE identically on both replicas).
+ExprPtr RandomPredicate(Rng* rng, const Schema& schema, int depth) {
+  auto column = [&] {
+    return Expr::Column(schema.attr(rng->NextBelow(schema.size())).name);
+  };
+  auto literal = [&] {
+    return Expr::Const(Value::Int(static_cast<int64_t>(rng->NextBelow(4))));
+  };
+  const uint64_t pick = depth >= 3 ? rng->NextBelow(3) : rng->NextBelow(7);
+  switch (pick) {
+    case 0:
+      return Expr::Compare(CompareOp::kGe, column(), literal());
+    case 1:
+      return Expr::IsNull(column(), rng->NextBernoulli(0.5));
+    case 2:
+      return Expr::In(column(), {Value::Int(1), Value::String("b")});
+    case 3:
+      return Expr::And(RandomPredicate(rng, schema, depth + 1),
+                       RandomPredicate(rng, schema, depth + 1));
+    case 4:
+      return Expr::Or(RandomPredicate(rng, schema, depth + 1),
+                      RandomPredicate(rng, schema, depth + 1));
+    case 5:
+      return Expr::Not(RandomPredicate(rng, schema, depth + 1));
+    default:
+      return Expr::Compare(CompareOp::kLt,
+                           Expr::Arith(ArithOp::kAdd, column(), literal()),
+                           literal());
+  }
+}
+
 /// One random delta op against the session's current state. Ops may be
-/// invalid (evicting a missing relation, reweighting with bad mass) —
-/// deliberately: failed batches must fail identically on both replicas
-/// and leave identical states behind.
+/// invalid (evicting a missing relation, reweighting with bad mass,
+/// creating a relation twice) — deliberately: failed batches must fail
+/// identically on both replicas and leave identical states behind.
 void AddRandomOp(Rng* rng, const WsdDb& db, DeltaBatch* batch) {
   const std::vector<std::string> rels = db.RelationNames();
+  if (rels.empty() || rng->NextBelow(16) == 0) {
+    batch->CreateRelation(
+        "x" + std::to_string(rng->NextBelow(3)),
+        Schema({{"a", ValueType::kInt}, {"b", ValueType::kString}}));
+    return;
+  }
   const std::string rel = rels[rng->NextBelow(rels.size())];
   const WsdRelation* r = db.GetRelation(rel).value();
+  if (rels.size() > 1 && rng->NextBelow(24) == 0) {
+    batch->DropRelation(rel);
+    return;
+  }
+  if (rng->NextBelow(12) == 0) {
+    batch->Enforce(Constraint::Domain(
+        rel, RandomPredicate(rng, r->schema(), /*depth=*/0), "fuzz"));
+    return;
+  }
   const uint64_t kind = rng->NextBelow(10);
   if (kind < 5) {  // insert a fresh row, ~half its cells or-sets
     std::vector<CellSpec> cells;
@@ -189,6 +242,94 @@ TEST(DeltaFuzz, IncrementalEqualsScratchBitForBit) {
   // The cache must actually be exercised for the comparison to mean
   // anything; re-issued queries over unchanged relations hit.
   EXPECT_GT(cache_activity, 0u);
+}
+
+// Every op kind, with a domain predicate covering every ExprKind: the
+// corpus the hostile-bytes sweep mutates.
+DeltaBatch EveryOpKindBatch() {
+  ExprPtr pred = Expr::And(
+      Expr::Not(Expr::IsNull(Expr::Column("k"), /*negated=*/false)),
+      Expr::Or(Expr::Compare(CompareOp::kGt,
+                             Expr::Arith(ArithOp::kMul, Expr::Column("k"),
+                                         Expr::Const(Value::Int(2))),
+                             Expr::Const(Value::Double(0.5))),
+               Expr::In(Expr::Column("v"),
+                        {Value::String("a"), Value::Null()})));
+  DeltaBatch batch;
+  batch.CreateRelation("t", Schema({{"k", ValueType::kInt},
+                                    {"v", ValueType::kString}}))
+      .Insert("t", {CellSpec::Certain(Value::Int(1)),
+                    CellSpec::OrSet({{Value::String("a"), 0.5},
+                                     {Value::String("b"), 0.5}})})
+      .Reweight(0, {0.25, 0.75})
+      .SetCell(0, 1, 0, Value::String("c"))
+      .RepairKey("t", {"k"}, "")
+      .Enforce(Constraint::Key("t", {"k"}, "pk"))
+      .Enforce(Constraint::FunctionalDependency("t", {"k"}, {"v"}, "fd"))
+      .Enforce(Constraint::Domain("t", pred, "dom"))
+      .EvictOldest("t", 1)
+      .DropRelation("t");
+  return batch;
+}
+
+// A decoded variant must be a well-formed batch: it re-encodes, and the
+// re-encoding is a fixed point.
+void ExpectWellFormed(const DeltaBatch& batch, const std::string& where) {
+  auto payload = batch.Serialize();
+  ASSERT_TRUE(payload.ok()) << where << ": " << payload.status().ToString();
+  auto again = DeltaBatch::Deserialize(*payload);
+  ASSERT_TRUE(again.ok()) << where << ": " << again.status().ToString();
+  auto twice = again->Serialize();
+  ASSERT_TRUE(twice.ok()) << where;
+  EXPECT_EQ(*twice, *payload) << where;
+}
+
+TEST(DeltaFuzz, HostileBytesYieldParseErrorOrValidBatch) {
+  auto payload = EveryOpKindBatch().Serialize();
+  MAYBMS_ASSERT_OK(payload.status());
+  const std::string& bytes = *payload;
+
+  size_t parse_errors = 0;
+  auto check = [&](const std::string& variant, const std::string& where) {
+    auto decoded = DeltaBatch::Deserialize(variant);
+    if (decoded.ok()) {
+      ExpectWellFormed(*decoded, where);
+    } else {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << where;
+      ++parse_errors;
+    }
+  };
+
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    check(bytes.substr(0, len), "truncated to " + std::to_string(len));
+  }
+  // Every single-byte flip of every position; the XOR masks cover the
+  // low bit (adjacent tags), the high bit (huge counts) and all bits.
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
+      std::string variant = bytes;
+      variant[pos] = static_cast<char>(variant[pos] ^ mask);
+      check(variant, "byte " + std::to_string(pos) + " ^ " +
+                         std::to_string(mask));
+    }
+  }
+  // Every strict prefix is missing bytes, so none may decode.
+  EXPECT_GE(parse_errors, bytes.size());
+
+  // A nesting bomb: a chain of NOT nodes far past the decoder's cap
+  // must be refused without exhausting the stack.
+  std::string bomb;
+  PutPod(&bomb, uint32_t{1});  // version
+  PutPod(&bomb, uint32_t{1});  // one op
+  PutPod(&bomb, uint8_t{6});   // enforce
+  PutPod(&bomb, static_cast<uint8_t>(ConstraintKind::kDomain));
+  PutLenString(&bomb, "t");
+  PutLenString(&bomb, "bomb");
+  PutPod(&bomb, uint32_t{0});
+  PutPod(&bomb, uint32_t{0});
+  bomb.append(1 << 20, static_cast<char>(ExprKind::kNot));
+  EXPECT_EQ(DeltaBatch::Deserialize(bomb).status().code(),
+            StatusCode::kParseError);
 }
 
 }  // namespace

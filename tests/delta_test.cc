@@ -1,5 +1,6 @@
 // Unit tests for the unified mutation API (core/delta.h): fluent batch
-// construction, WAL-payload serialization, delta application with its
+// construction, WAL-payload serialization (including domain predicates
+// and the pinned pre-existing byte layout), delta application with its
 // dirty/removed effect sets, eviction garbage collection, deterministic
 // partial failure, and the session-level streaming entry point
 // (WAL-as-kDelta logging + recovery replay).
@@ -11,8 +12,10 @@
 #include "core/confidence.h"
 #include "core/delta.h"
 #include "core/wsd.h"
+#include "sql/parser.h"
 #include "sql/session.h"
 #include "storage/io_env.h"
+#include "storage/snapshot_io.h"
 #include "storage/wal.h"
 #include "tests/test_util.h"
 
@@ -42,12 +45,15 @@ TEST(DeltaBatchTest, FluentConstructionAndToString) {
       .Reweight(3, {0.25, 0.75})
       .SetCell(3, 0, 0, Value::Int(9))
       .RepairKey("t", {"k"}, "w")
-      .Enforce(Constraint::Key("t", {"k"}, "pk"));
-  EXPECT_EQ(batch.size(), 6u);
+      .Enforce(Constraint::Key("t", {"k"}, "pk"))
+      .CreateRelation("u", Schema({{"a", ValueType::kInt}}))
+      .DropRelation("u");
+  EXPECT_EQ(batch.size(), 8u);
   EXPECT_FALSE(batch.empty());
   const std::string text = batch.ToString();
   for (const char* line : {"insert t", "evict t oldest 2", "reweight c3",
-                           "setcell c3[0,0] = 9", "repair key t", "enforce"}) {
+                           "setcell c3[0,0] = 9", "repair key t", "enforce",
+                           "create relation u (a INT)", "drop relation u"}) {
     EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
   }
 }
@@ -62,7 +68,18 @@ TEST(DeltaBatchTest, SerializeRoundTripIsLossless) {
       .SetCell(7, 3, 1, Value::Double(2.5))
       .RepairKey("t", {"k", "v"}, "w")
       .Enforce(Constraint::FunctionalDependency("t", {"k"}, {"v"}, "fd"))
-      .Enforce(Constraint::Key("t", {"k"}, "pk"));
+      .Enforce(Constraint::Key("t", {"k"}, "pk"))
+      .Enforce(Constraint::Domain(
+          "t",
+          Expr::Or(Expr::Compare(CompareOp::kLt, Expr::Column("k"),
+                                 Expr::Const(Value::Int(3))),
+                   Expr::In(Expr::Column("v"), {Value::String("a")})),
+          "dom"))
+      .CreateRelation("u", Schema({{"a", ValueType::kInt},
+                                   {"b", ValueType::kString},
+                                   {"c", ValueType::kDouble},
+                                   {"d", ValueType::kBool}}))
+      .DropRelation("events");
 
   auto payload = batch.Serialize();
   MAYBMS_ASSERT_OK(payload.status());
@@ -76,12 +93,110 @@ TEST(DeltaBatchTest, SerializeRoundTripIsLossless) {
   EXPECT_EQ(parsed->ToString(), batch.ToString());
 }
 
-TEST(DeltaBatchTest, SerializeRejectsDomainConstraintsAndPendingCells) {
+// Every ExprKind, parsed from SQL exactly as ENFORCE CHECK sees it: the
+// decoded predicate is unbound and prints, re-encodes and enforces
+// identically to the parser's tree.
+TEST(DeltaBatchTest, DomainPredicateRoundTripCoversEveryExprKind) {
+  auto stmt = sql::ParseStatement(
+      "ENFORCE CHECK (NOT (k IS NULL) AND (k + 1 > 0 OR k IN (7, 8)) "
+      "AND v IS NOT NULL) ON t");
+  MAYBMS_ASSERT_OK(stmt.status());
+  Constraint c = Constraint::Domain("t", stmt->enforce->check, "check");
+  DeltaBatch batch;
+  batch.Enforce(c);
+  auto payload = batch.Serialize();
+  MAYBMS_ASSERT_OK(payload.status());
+  auto parsed = DeltaBatch::Deserialize(*payload);
+  MAYBMS_ASSERT_OK(parsed.status());
+  ASSERT_EQ(parsed->size(), 1u);
+  const Constraint& back =
+      std::get<DeltaBatch::EnforceOp>(parsed->ops()[0]).constraint;
+  EXPECT_EQ(back.kind(), ConstraintKind::kDomain);
+  EXPECT_EQ(back.ToString(), c.ToString());
+  std::vector<const Expr*> stack = {back.predicate().get()};
+  std::vector<bool> seen(9, false);
+  while (!stack.empty()) {
+    const Expr* e = stack.back();
+    stack.pop_back();
+    seen[static_cast<size_t>(e->kind())] = true;
+    if (e->kind() == ExprKind::kColumn) {
+      EXPECT_FALSE(e->is_bound());
+    }
+    for (const ExprPtr& child : e->children()) stack.push_back(child.get());
+  }
+  for (size_t k = 0; k < seen.size(); ++k) {
+    EXPECT_TRUE(seen[k]) << "ExprKind " << k << " not covered";
+  }
+  auto again = parsed->Serialize();
+  MAYBMS_ASSERT_OK(again.status());
+  EXPECT_EQ(*again, *payload);
+
+  // The second row's key is -4 in half the worlds, which the predicate
+  // removes.
+  DeltaBatch rows;
+  rows.Insert("t", UncertainRow(1))
+      .Insert("t", {CellSpec::OrSet({{Value::Int(-4), 0.5},
+                                     {Value::Int(3), 0.5}}),
+                    CellSpec::Certain(Value::String("a"))});
+  WsdDb direct = TwoColumnDb();
+  MAYBMS_ASSERT_OK(direct.ApplyDelta(rows).status());
+  WsdDb replayed = direct;
+  MAYBMS_ASSERT_OK(direct.ApplyDelta(batch).status());
+  MAYBMS_ASSERT_OK(replayed.ApplyDelta(*parsed).status());
+  EXPECT_TRUE(DbsExactlyEqual(direct, replayed));
+}
+
+// Payloads written before relation ops and predicates were encodable
+// decode unchanged: this pins the original byte layout.
+TEST(DeltaBatchTest, OriginalPayloadLayoutStillDecodes) {
+  std::string payload;
+  PutPod(&payload, uint32_t{1});  // version
+  PutPod(&payload, uint32_t{3});  // op count
+  PutPod(&payload, uint8_t{1});   // insert
+  PutLenString(&payload, "t");
+  PutPod(&payload, uint32_t{2});  // cells
+  PutPod(&payload, uint8_t{0});   // certain
+  PutPod(&payload, uint8_t{3});   // int
+  PutPod(&payload, int64_t{5});
+  PutPod(&payload, uint8_t{1});   // or-set
+  PutPod(&payload, uint32_t{2});
+  PutPod(&payload, uint8_t{5});   // string
+  PutLenString(&payload, "a");
+  PutPod(&payload, 0.25);
+  PutPod(&payload, uint8_t{5});
+  PutLenString(&payload, "b");
+  PutPod(&payload, 0.75);
+  PutPod(&payload, uint8_t{2});  // evict
+  PutLenString(&payload, "t");
+  PutPod(&payload, uint64_t{4});
+  PutPod(&payload, uint8_t{6});  // enforce
+  PutPod(&payload, static_cast<uint8_t>(ConstraintKind::kKey));
+  PutLenString(&payload, "t");
+  PutLenString(&payload, "pk");
+  PutPod(&payload, uint32_t{1});
+  PutLenString(&payload, "k");
+  PutPod(&payload, uint32_t{0});
+
+  auto parsed = DeltaBatch::Deserialize(payload);
+  MAYBMS_ASSERT_OK(parsed.status());
+  DeltaBatch expected;
+  expected
+      .Insert("t", {CellSpec::Certain(Value::Int(5)),
+                    CellSpec::OrSet({{Value::String("a"), 0.25},
+                                     {Value::String("b"), 0.75}})})
+      .EvictOldest("t", 4)
+      .Enforce(Constraint::Key("t", {"k"}, "pk"));
+  EXPECT_EQ(parsed->ToString(), expected.ToString());
+  auto again = parsed->Serialize();
+  MAYBMS_ASSERT_OK(again.status());
+  EXPECT_EQ(*again, payload);
+}
+
+TEST(DeltaBatchTest, SerializeRejectsPendingCellsAndOverDeepPredicates) {
+  ExprPtr deep = Expr::Column("k");
+  for (int i = 0; i < 1000; ++i) deep = Expr::Not(deep);
   DeltaBatch domain;
-  domain.Enforce(Constraint::Domain(
-      "t", Expr::Compare(CompareOp::kLt, Expr::Column("k"),
-                         Expr::Const(Value::Int(3))),
-      "small"));
+  domain.Enforce(Constraint::Domain("t", deep, "deep"));
   EXPECT_EQ(domain.Serialize().status().code(), StatusCode::kInvalidArgument);
 
   DeltaBatch pending;
@@ -338,10 +453,7 @@ TEST(SessionDeltaTest, UnserializableBatchFailsBeforeApplying) {
 
   DeltaBatch batch;
   batch.Insert("t", UncertainRow(1));
-  batch.Enforce(Constraint::Domain(
-      "t", Expr::Compare(CompareOp::kLt, Expr::Column("k"),
-                         Expr::Const(Value::Int(3))),
-      "small"));
+  batch.Insert("t", {CellSpec::Pending(), CellSpec::Certain(Value::Int(1))});
   EXPECT_FALSE(s.ApplyDelta(batch).ok());
   EXPECT_EQ(s.wal_record_count(), 0u);
   EXPECT_EQ((*s.db().GetRelation("t"))->NumTuples(), 0u);

@@ -1,14 +1,18 @@
 // Session-level durability tests: WAL attachment on SAVE/LOAD, the
-// log-before-apply ordering, recovery replay (eager and mapped),
+// log-before-apply ordering, every mutation logged as one kDelta record,
+// recovery replay (eager and mapped, including legacy SQL-text logs),
 // CHECKPOINT and the auto-checkpoint threshold, stale-log discard, and
 // clean failure of LOAD DATABASE ... MAPPED / EnsureResident under
 // injected I/O faults. Everything runs on the FaultInjectingEnv, so no
 // real files are touched.
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
+#include "core/delta.h"
 #include "sql/session.h"
 #include "storage/io_env.h"
 #include "storage/wal.h"
@@ -52,14 +56,23 @@ TEST(DurabilityTest, SaveAttachesWalAndLogsMutations) {
   auto contents = wal::ReadWal(&env, "db.wal");
   MAYBMS_ASSERT_OK(contents.status());
   ASSERT_EQ(contents->records.size(), 1u);
-  EXPECT_EQ(contents->records[0].payload, "INSERT INTO t VALUES (7, 1.0)");
+  EXPECT_EQ(contents->records[0].type, wal::RecordType::kDelta);
+  auto batch = DeltaBatch::Deserialize(contents->records[0].payload);
+  MAYBMS_ASSERT_OK(batch.status());
+  DeltaBatch expected;
+  expected.Insert("t", {CellSpec::Certain(Value::Int(7)),
+                        CellSpec::Certain(Value::Double(1.0))});
+  EXPECT_EQ(batch->ToString(), expected.ToString());
+  auto expected_payload = expected.Serialize();
+  MAYBMS_ASSERT_OK(expected_payload.status());
+  EXPECT_EQ(contents->records[0].payload, *expected_payload);
 }
 
 TEST(DurabilityTest, WalDisabledNeverAttaches) {
   FaultInjectingEnv env;
   Session s;
   s.set_env(&env);
-  s.mutable_durability_options().wal_enabled = false;
+  s.mutable_options().durability.wal_enabled = false;
   Populate(&s);
   MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
   EXPECT_FALSE(s.has_durable_attachment());
@@ -161,7 +174,7 @@ TEST(DurabilityTest, AutoCheckpointKeepsTheLogShort) {
   FaultInjectingEnv env;
   Session s;
   s.set_env(&env);
-  s.mutable_durability_options().auto_checkpoint_records = 2;
+  s.mutable_options().durability.auto_checkpoint_records = 2;
   Populate(&s);
   MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
   MAYBMS_ASSERT_OK(s.Execute("INSERT INTO t VALUES (7, 1.0)").status());
@@ -190,7 +203,7 @@ TEST(DurabilityTest, StaleLogFromOlderSnapshotIsDiscarded) {
   other.set_env(&env);
   MAYBMS_ASSERT_OK(
       other.Execute("CREATE TABLE u (y STRING)").status());
-  other.mutable_durability_options().wal_enabled = false;
+  other.mutable_options().durability.wal_enabled = false;
   MAYBMS_ASSERT_OK(other.Execute("SAVE DATABASE 'db'").status());
 
   Session b;
@@ -219,21 +232,93 @@ TEST(DurabilityTest, LogBeforeApplyFailedAppendLeavesMemoryUntouched) {
   env.Recover(&rng);
 }
 
-TEST(DurabilityTest, ExecuteParsedWithoutSourceTextIsRejectedWhenAttached) {
+TEST(DurabilityTest, HandBuiltStatementIsLoggedAndRecovered) {
   FaultInjectingEnv env;
   Session s;
   s.set_env(&env);
   Populate(&s);
   MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
-  // A hand-built statement has no SQL text to log; accepting it would
-  // create an un-replayable hole in the WAL.
+  // A statement built without the parser lowers to a delta batch like
+  // any other, so it is logged and replayed.
   Statement stmt;
   stmt.kind = Statement::Kind::kDropTable;
   stmt.drop_table = DropTableStmt{};
   stmt.drop_table->name = "t";
-  auto r = s.ExecuteParsed(stmt);
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(s.db().HasRelation("t"));
+  MAYBMS_ASSERT_OK(s.ExecuteParsed(stmt).status());
+  EXPECT_FALSE(s.db().HasRelation("t"));
+  EXPECT_EQ(s.wal_record_count(), 1u);
+
+  Session b;
+  b.set_env(&env);
+  auto loaded = b.Execute("LOAD DATABASE 'db'");
+  MAYBMS_ASSERT_OK(loaded.status());
+  EXPECT_NE(loaded->message.find("recovered 1 statement(s)"),
+            std::string::npos);
+  EXPECT_FALSE(b.db().HasRelation("t"));
+  testing_util::ExpectDbsExactlyEqual(s.db(), b.db());
+}
+
+// Logs written before every mutation became a kDelta record hold the SQL
+// text of each mutating statement. They are still read: recovery parses
+// each record and applies the same batch the statement lowers to today.
+TEST(DurabilityTest, LegacyStatementLogRecoversToTheSameDatabase) {
+  const std::vector<std::string> statements = {
+      "CREATE TABLE d (x INT, w DOUBLE)",
+      "INSERT INTO d VALUES (1, 1.0), (1, 3.0), (2, 1.0)",
+      "REPAIR KEY (x) IN d WEIGHT BY w",
+      "INSERT INTO t VALUES ({4: 0.5, 5: 0.5}, 1.0)",
+      "ENFORCE CHECK (x >= 2 OR w > 1.0) ON t",
+      "ENFORCE KEY (x) ON d",
+      "DELETE FROM t OLDEST 1",
+      "CREATE TABLE scratch (y STRING)",
+      "DROP TABLE scratch",
+  };
+  FaultInjectingEnv env;
+  {
+    Session writer;
+    writer.set_env(&env);
+    writer.mutable_options().durability.wal_enabled = false;
+    Populate(&writer);
+    MAYBMS_ASSERT_OK(writer.Execute("SAVE DATABASE 'db'").status());
+  }
+  auto snapshot = env.ReadFileToString("db");
+  MAYBMS_ASSERT_OK(snapshot.status());
+  auto log = wal::WalWriter::Create(&env, "db.wal",
+                                    wal::SnapshotFingerprint(*snapshot),
+                                    /*base_lsn=*/1);
+  MAYBMS_ASSERT_OK(log.status());
+  for (const std::string& sql : statements) {
+    MAYBMS_ASSERT_OK(log->Append(wal::RecordType::kStatement, sql).status());
+  }
+
+  Session direct;
+  Populate(&direct);
+  for (const std::string& sql : statements) {
+    MAYBMS_ASSERT_OK(direct.Execute(sql).status());
+  }
+
+  Session b;
+  b.set_env(&env);
+  auto loaded = b.Execute("LOAD DATABASE 'db'");
+  MAYBMS_ASSERT_OK(loaded.status());
+  EXPECT_NE(loaded->message.find(
+                StrFormat("recovered %zu statement(s)", statements.size())),
+            std::string::npos)
+      << loaded->message;
+  testing_util::ExpectDbsExactlyEqual(direct.db(), b.db());
+
+  // The recovered session continues the legacy log with kDelta records,
+  // and a reload replays the mixed log to the same state.
+  MAYBMS_ASSERT_OK(b.Execute("INSERT INTO t VALUES (9, 1.0)").status());
+  MAYBMS_ASSERT_OK(direct.Execute("INSERT INTO t VALUES (9, 1.0)").status());
+  auto contents = wal::ReadWal(&env, "db.wal");
+  MAYBMS_ASSERT_OK(contents.status());
+  ASSERT_EQ(contents->records.size(), statements.size() + 1);
+  EXPECT_EQ(contents->records.back().type, wal::RecordType::kDelta);
+  Session c;
+  c.set_env(&env);
+  MAYBMS_ASSERT_OK(c.Execute("LOAD DATABASE 'db'").status());
+  testing_util::ExpectDbsExactlyEqual(direct.db(), c.db());
 }
 
 // Satellite: LOAD DATABASE ... MAPPED under injected I/O failures must
@@ -278,7 +363,7 @@ TEST(DurabilityTest, EnsureResidentSurfacesCorruptShardCleanly) {
   {
     Session writer;
     writer.set_env(&env);
-    writer.mutable_durability_options().wal_enabled = false;
+    writer.mutable_options().durability.wal_enabled = false;
     Populate(&writer);
     MAYBMS_ASSERT_OK(writer.Execute("SAVE DATABASE 'db'").status());
   }
@@ -291,7 +376,7 @@ TEST(DurabilityTest, EnsureResidentSurfacesCorruptShardCleanly) {
 
   Session s;
   s.set_env(&env);
-  s.mutable_durability_options().wal_enabled = false;
+  s.mutable_options().durability.wal_enabled = false;
   MAYBMS_ASSERT_OK(s.Execute("LOAD DATABASE 'db' MAPPED").status());
   ASSERT_TRUE(s.is_mapped());
   // The INSERT forces residency; materialization hits the bad checksum.

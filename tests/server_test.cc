@@ -1,7 +1,8 @@
 // Integration tests for the TCP query server: connect/query/disconnect
 // over the line protocol, server answers vs direct embedded execution,
-// concurrent writer clients, per-client rate limiting, admission
-// control, counters, and clean shutdown.
+// concurrent writer clients (in memory and with a durable WAL
+// attachment), per-client rate limiting, admission control, counters,
+// and clean shutdown.
 #include "server/server.h"
 
 #include <atomic>
@@ -14,6 +15,8 @@
 #include "server/client.h"
 #include "server/shared_catalog.h"
 #include "sql/session.h"
+#include "storage/io_env.h"
+#include "storage/wal.h"
 #include "tests/test_util.h"
 
 namespace maybms {
@@ -161,6 +164,64 @@ TEST(ServerTest, ConcurrentWritersSerialized) {
   EXPECT_NE(joined.find(std::to_string(kClients * kRowsEach)),
             std::string::npos)
       << joined;
+}
+
+// The durable commit path: the writer session is attached to a snapshot
+// before serving, so every acknowledged INSERT from concurrent clients
+// is one kDelta WAL record, and a fresh session recovers all of them.
+TEST(ServerTest, DurableConcurrentWritersRecoverEveryAcknowledgedInsert) {
+  FaultInjectingEnv env;  // touched only under the commit lock
+  SharedCatalog catalog;
+  sql::Session* setup = catalog.setup_session();
+  setup->set_env(&env);
+  setup->mutable_options().durability.auto_checkpoint_records = 0;
+  MAYBMS_ASSERT_OK(setup->Execute("CREATE TABLE c (a INT)").status());
+  MAYBMS_ASSERT_OK(setup->Execute("SAVE DATABASE 'db'").status());
+  ASSERT_TRUE(setup->has_durable_attachment());
+  catalog.Publish();
+  ServerOptions options;
+  options.workers = 4;
+  options.max_in_flight = 64;
+  auto server = MustStart(&catalog, options);
+
+  constexpr int kClients = 4;
+  constexpr int kRowsEach = 8;
+  std::atomic<int> acked{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = Client::Connect(server->port());
+      if (!client.ok()) return;
+      for (int i = 0; i < kRowsEach; ++i) {
+        auto r = client->Execute("INSERT INTO c VALUES ({" +
+                                 std::to_string(c * 100 + i) + ": 0.5, " +
+                                 std::to_string(c * 100 + i + 50) +
+                                 ": 0.5})");
+        if (r.ok() && r->ok) acked.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  server->Stop();
+  ASSERT_GT(acked.load(), 0);
+
+  auto contents = wal::ReadWal(&env, "db.wal");
+  MAYBMS_ASSERT_OK(contents.status());
+  EXPECT_EQ(contents->records.size(), static_cast<size_t>(acked.load()));
+  for (const wal::WalRecord& record : contents->records) {
+    EXPECT_EQ(record.type, wal::RecordType::kDelta) << "lsn " << record.lsn;
+  }
+
+  sql::Session recovered;
+  recovered.set_env(&env);
+  MAYBMS_ASSERT_OK(recovered.Execute("LOAD DATABASE 'db'").status());
+  auto count = recovered.Execute("SELECT ECOUNT() FROM c");
+  MAYBMS_ASSERT_OK(count.status());
+  ASSERT_EQ(count->table.NumRows(), 1u);
+  EXPECT_DOUBLE_EQ(count->table.row(0)[0].as_double(),
+                   static_cast<double>(acked.load()));
+  testing_util::ExpectDbsExactlyEqual(catalog.SnapshotCopy(),
+                                      recovered.db());
 }
 
 TEST(ServerTest, RateLimitRejectsBurst) {

@@ -2,7 +2,9 @@
 // kill the "process" at EVERY I/O operation index in turn (including
 // mid-SAVE, mid-CHECKPOINT, mid-auto-checkpoint, and mid-WAL-append,
 // with randomized torn tails), recover, reload, and check the recovered
-// database against an in-memory oracle.
+// database against an in-memory oracle. Every record read back from a
+// recovered log must be a kDelta record: each statement kind is logged
+// as the delta batch it lowers to.
 //
 // Admissibility: with log-before-apply, the failures form a prefix — if
 // the first failed statement is number F, every earlier statement was
@@ -25,6 +27,7 @@
 #include "common/string_util.h"
 #include "sql/session.h"
 #include "storage/io_env.h"
+#include "storage/wal.h"
 #include "tests/test_util.h"
 
 namespace maybms {
@@ -37,7 +40,8 @@ size_t FuzzRounds() {
 }
 
 // The deterministic base workload: SAVE first (attaching the WAL), then
-// every logged statement kind plus an explicit CHECKPOINT in the middle.
+// every mutating statement kind plus an explicit CHECKPOINT in the
+// middle.
 std::vector<std::string> BaseWorkload() {
   return {
       "SAVE DATABASE 'db'",
@@ -52,6 +56,9 @@ std::vector<std::string> BaseWorkload() {
       "CHECKPOINT",
       "INSERT INTO t VALUES ({4: 0.5, 5: 0.5}, 1.0)",
       "ENFORCE CHECK (x >= 0) ON t",
+      "DELETE FROM t OLDEST 1",
+      "CREATE TABLE side (y STRING)",
+      "DROP TABLE side",
       "INSERT INTO t VALUES (6, 0.5)",
   };
 }
@@ -66,7 +73,7 @@ std::vector<std::string> RandomWorkload(Rng* rng) {
   // once the table has been repaired (after which no further repair).
   bool repaired = false;
   for (size_t i = 0; i < n; ++i) {
-    switch (rng->NextBelow(5)) {
+    switch (rng->NextBelow(6)) {
       case 0:
         if (!repaired) {
           w.push_back("REPAIR KEY (x) IN t WEIGHT BY w");
@@ -79,6 +86,9 @@ std::vector<std::string> RandomWorkload(Rng* rng) {
         break;
       case 2:
         w.push_back("ENFORCE CHECK (x >= 0) ON t");
+        break;
+      case 3:
+        w.push_back("DELETE FROM t OLDEST 1");
         break;
       default: {
         const int a = 1 + static_cast<int>(rng->NextBelow(8));
@@ -104,7 +114,7 @@ std::vector<std::string> RandomWorkload(Rng* rng) {
 Session MakeSession(Env* env, size_t auto_checkpoint) {
   Session s;
   s.set_env(env);
-  s.mutable_durability_options().auto_checkpoint_records = auto_checkpoint;
+  s.mutable_options().durability.auto_checkpoint_records = auto_checkpoint;
   return s;
 }
 
@@ -137,6 +147,7 @@ void SweepCrashPoints(const std::vector<std::string>& workload,
   const size_t n = workload.size();
   ASSERT_GT(oracle.total_ops, 0u);
 
+  size_t records_read = 0;
   for (uint64_t crash_op = 0; crash_op < oracle.total_ops; ++crash_op) {
     FaultInjectingEnv env;
     FaultPlan plan;
@@ -151,6 +162,15 @@ void SweepCrashPoints(const std::vector<std::string>& workload,
     env.set_plan(FaultPlan{});  // recovery itself runs fault-free
     Rng rng(recover_salt ^ (crash_op * 0x9e3779b97f4a7c15ull));
     env.Recover(&rng);
+
+    auto log = wal::ReadWal(&env, "db.wal");
+    if (log.ok()) {
+      records_read += log->records.size();
+      for (const wal::WalRecord& record : log->records) {
+        EXPECT_EQ(record.type, wal::RecordType::kDelta)
+            << "crash_op " << crash_op << ": lsn " << record.lsn;
+      }
+    }
 
     Session rec = MakeSession(&env, auto_checkpoint);
     auto loaded = rec.Execute("LOAD DATABASE 'db'");
@@ -183,6 +203,7 @@ void SweepCrashPoints(const std::vector<std::string>& workload,
       EXPECT_TRUE(rec.has_durable_attachment());
     }
   }
+  EXPECT_GT(records_read, 0u) << "no crash point left a log record to check";
 }
 
 TEST(WalCrashFuzz, BaseWorkloadSurvivesEveryCrashPoint) {
