@@ -81,7 +81,7 @@ struct SnapshotCase {
 };
 
 // E1b: snapshot persistence — text ("MAYBMS-WSD 1") vs the binary
-// columnar format ("MAYBMS-WSD 2"). Two regimes, several scales each:
+// columnar format ("MAYBMS-WSD 3"). Two regimes, several scales each:
 //
 //   census/N  — template-heavy: N census records, or-set noise 0.001.
 //               Load cost is dominated by materializing the certain

@@ -18,7 +18,7 @@
 //     replaying the record re-applies the identical ops in the
 //     identical order, reproducing the same component ids and owner ids
 //     (AddComponent allocates densely from component_slot_count(),
-//     which snapshots persist).
+//     which v3 snapshots persist — the only format a log is based on).
 //   - *Deterministic partial failure.* Ops apply in order and stop at
 //     the first error; already-applied ops stay applied. Replay of the
 //     same batch against the same state therefore reproduces the same

@@ -192,13 +192,7 @@ Result<MappedWsdDb> MappedWsdDb::Open(const std::string& path,
     }
   }
 
-  {
-    ValuePool& pool = ValuePool::Global();
-    m.local_strings_.reserve(m.local_to_global_.size());
-    for (uint32_t gid : m.local_to_global_) {
-      m.local_strings_.push_back(&pool.Get(gid));
-    }
-  }
+  m.local_strings_ = sv3::PoolStrings(m.local_to_global_);
 
   m.partitions_.reserve(m.dir_.relations.size());
   for (const sv3::DirRelation& dr : m.dir_.relations) {

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/snapshot_v3.h"
 #include "storage/snapshot_io.h"
@@ -18,15 +17,12 @@ namespace {
 
 constexpr const char* kMagic = "MAYBMS-WSD";
 constexpr int kTextVersion = 1;
-constexpr int kBinaryVersion = 2;
+constexpr int kBinaryVersionV2 = 2;
 constexpr int kBinaryVersionV3 = 3;
 
-// The wire codecs shared with the v3 sharded format (constants, cell
-// encode/decode, component/tuple record layouts) live in
-// core/snapshot_v3.h; the v2 reader/writer below delegates to them, so
-// both versions stay byte-compatible at the record level by
-// construction.
-using snapshotv3::kCellRef;
+// The wire codecs of the v3 sharded format (constants, component and
+// shard record layouts) live in core/snapshot_v3.h; the v2 reader below
+// delegates to them, since v2 uses the same record layouts.
 using snapshotv3::kEndianMark;
 using snapshotv3::kSecComponents;
 using snapshotv3::kSecEnd;
@@ -288,65 +284,13 @@ Result<WsdDb> ReadWsdDbText(std::istream& in) {
   return db;
 }
 
-// --- binary format ---------------------------------------------------------
+// --- v2 binary reader --------------------------------------------------------
 //
 // Layout after the "MAYBMS-WSD 2\n" header line (see
-// docs/SNAPSHOT_FORMAT.md for the full spec): a fixed sequence of
-// checksummed sections META, STRS, COMP, RELS, END. All cell data is
-// written as raw tag/payload arrays; string payloads are snapshot-local
-// ids into the STRS table, remapped to the process ValuePool on load.
-
-std::string BuildMetaPayload(const WsdDb& db) {
-  std::string meta;
-  PutPod(&meta, kEndianMark);
-  PutPod(&meta, static_cast<uint64_t>(db.options().max_component_rows));
-  PutPod(&meta, static_cast<uint64_t>(db.owner_counter()));
-  return meta;
-}
-
-std::string BuildComponentsPayload(const WsdDb& db,
-                                   SnapshotStringTable* strings) {
-  std::string comp;
-  auto live = db.LiveComponents();
-  PutPod(&comp, static_cast<uint32_t>(live.size()));
-  for (ComponentId id : live) {
-    snapshotv3::AppendComponentRecord(db, id, strings, &comp);
-  }
-  return comp;
-}
-
-std::string BuildRelationsPayload(const WsdDb& db,
-                                  SnapshotStringTable* strings) {
-  std::string rels;
-  PutPod(&rels, static_cast<uint32_t>(db.relations().size()));
-  for (const auto& [key, rel] : db.relations()) {
-    const size_t n_cols = rel.schema().size();
-    const size_t n_tuples = rel.NumTuples();
-    PutLenString(&rels, rel.name());
-    PutLenString(&rels, rel.display_name());
-    PutPod(&rels, static_cast<uint32_t>(n_cols));
-    PutPod(&rels, static_cast<uint64_t>(n_tuples));
-    for (size_t c = 0; c < n_cols; ++c) {
-      PutLenString(&rels, rel.schema().attr(c).name);
-      PutPod(&rels, static_cast<uint8_t>(rel.schema().attr(c).type));
-    }
-    // A v2 relation body is exactly one shard record spanning every
-    // tuple; v3 splits the same record layout into multiple blocks.
-    snapshotv3::AppendShardRecord(rel, 0, n_tuples, strings, &rels);
-  }
-  return rels;
-}
-
-Result<SnapshotSection> ReadSectionExpecting(std::istream& in, uint32_t tag) {
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotSection s, ReadSnapshotSection(in));
-  if (s.tag != tag) {
-    return Status::ParseError(
-        StrFormat("expected snapshot section %s, got %s",
-                  SnapshotTagName(tag).c_str(),
-                  SnapshotTagName(s.tag).c_str()));
-  }
-  return s;
-}
+// docs/SNAPSHOT_FORMAT.md): a fixed sequence of checksummed sections
+// META, STRS, COMP, RELS, END. v2 is read-only; its component records
+// and relation bodies use the v3 record layouts, so both decode through
+// the v3 codecs.
 
 Status ParseComponentsSection(const SnapshotSection& section,
                               const std::vector<uint32_t>& local_to_global,
@@ -365,19 +309,39 @@ Status ParseComponentsSection(const SnapshotSection& section,
   return Status::OK();
 }
 
+// Slices one v2 relation body off the RELS stream. The body is exactly
+// one shard record spanning every tuple: dep_counts u32[n], n_deps u64,
+// deps u64[n_deps], then tag u8 and payload u64 arrays of n * n_cols.
+Result<std::string_view> SliceRelationBody(SnapshotCursor* cur,
+                                           size_t n_tuples, uint32_t n_cols) {
+  SnapshotCursor probe = *cur;
+  if (n_tuples > probe.remaining() / sizeof(uint32_t)) {
+    return Status::ParseError("snapshot relation body exceeds payload");
+  }
+  MAYBMS_RETURN_IF_ERROR(probe.ReadBytes(n_tuples * sizeof(uint32_t)).status());
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t n_deps, probe.Read<uint64_t>());
+  const size_t left = probe.remaining();
+  if (n_deps > left / sizeof(uint64_t)) {
+    return Status::ParseError("snapshot relation body exceeds payload");
+  }
+  const size_t cell_bytes = sizeof(uint8_t) + sizeof(uint64_t);
+  const size_t cells_left =
+      left - static_cast<size_t>(n_deps) * sizeof(uint64_t);
+  if (n_cols != 0 && n_tuples > cells_left / (cell_bytes * n_cols)) {
+    return Status::ParseError("snapshot relation body exceeds payload");
+  }
+  return cur->ReadBytes(n_tuples * sizeof(uint32_t) + sizeof(uint64_t) +
+                        static_cast<size_t>(n_deps) * sizeof(uint64_t) +
+                        n_tuples * n_cols * cell_bytes);
+}
+
 Status ParseRelationsSection(const SnapshotSection& section,
                              const std::vector<uint32_t>& local_to_global,
                              WsdDb* db) {
   SnapshotCursor cur(section.payload);
   MAYBMS_ASSIGN_OR_RETURN(uint32_t n_rels, cur.Read<uint32_t>());
-  // Materialize pool references once per distinct string: tuple builders
-  // then read them without touching the pool's mutex per cell.
-  std::vector<const std::string*> local_strings;
-  local_strings.reserve(local_to_global.size());
-  {
-    ValuePool& pool = ValuePool::Global();
-    for (uint32_t gid : local_to_global) local_strings.push_back(&pool.Get(gid));
-  }
+  const std::vector<const std::string*> local_strings =
+      snapshotv3::PoolStrings(local_to_global);
   for (uint32_t k = 0; k < n_rels; ++k) {
     MAYBMS_ASSIGN_OR_RETURN(std::string name, cur.ReadLenString());
     MAYBMS_ASSIGN_OR_RETURN(std::string display, cur.ReadLenString());
@@ -394,49 +358,14 @@ Status ParseRelationsSection(const SnapshotSection& section,
       MAYBMS_RETURN_IF_ERROR(
           schema.Add({std::move(col), static_cast<ValueType>(type)}));
     }
+    MAYBMS_ASSIGN_OR_RETURN(std::string_view body,
+                            SliceRelationBody(&cur, n_tuples, n_cols));
     MAYBMS_RETURN_IF_ERROR(db->CreateRelation(name, schema));
     WsdRelation* rel = db->GetMutableRelation(name).value();
     rel->set_display_name(display);
-    std::vector<uint32_t> dep_counts;
-    MAYBMS_RETURN_IF_ERROR(cur.ReadArray(n_tuples, &dep_counts));
-    MAYBMS_ASSIGN_OR_RETURN(uint64_t n_deps, cur.Read<uint64_t>());
-    std::vector<uint64_t> deps_flat;
-    MAYBMS_RETURN_IF_ERROR(cur.ReadArray(static_cast<size_t>(n_deps),
-                                         &deps_flat));
-    std::vector<uint64_t> dep_offsets(n_tuples);
-    uint64_t dep_pos = 0;
-    for (size_t t_i = 0; t_i < n_tuples; ++t_i) {
-      dep_offsets[t_i] = dep_pos;
-      dep_pos += dep_counts[t_i];
-    }
-    if (dep_pos != deps_flat.size()) {
-      return Status::ParseError("snapshot dependency list inconsistent");
-    }
-    if (n_cols != 0 && n_tuples > cur.remaining() / n_cols) {
-      return Status::ParseError("snapshot cell array exceeds payload");
-    }
-    std::vector<uint8_t> tags;
-    std::vector<uint64_t> payloads;
-    MAYBMS_RETURN_IF_ERROR(cur.ReadArray(n_tuples * n_cols, &tags));
-    MAYBMS_RETURN_IF_ERROR(cur.ReadArray(n_tuples * n_cols, &payloads));
-    // Tuple construction dominates large loads, and unlike the token
-    // stream of the text format the bulk arrays are random-access —
-    // shard it over the pool. Each chunk owns a disjoint tuple range.
-    std::vector<WsdTuple>& tuples = rel->mutable_tuples();
-    tuples.resize(n_tuples);
-    constexpr size_t kTuplesPerChunk = 4096;
-    const size_t n_chunks =
-        n_tuples == 0 ? 0 : (n_tuples + kTuplesPerChunk - 1) / kTuplesPerChunk;
-    std::vector<Status> chunk_status(n_chunks);
-    ParallelFor(n_chunks <= 1 ? 1 : 0, n_chunks, [&](size_t chunk) {
-      size_t begin = chunk * kTuplesPerChunk;
-      size_t end = std::min(begin + kTuplesPerChunk, n_tuples);
-      chunk_status[chunk] =
-          snapshotv3::BuildTupleRange(&tuples, begin, end, n_cols, dep_counts,
-                                      dep_offsets, deps_flat, tags, payloads,
-                                      local_strings);
-    });
-    for (const Status& st : chunk_status) MAYBMS_RETURN_IF_ERROR(st);
+    rel->mutable_tuples().resize(n_tuples);
+    MAYBMS_RETURN_IF_ERROR(snapshotv3::DecodeShardRecord(
+        body, n_cols, 0, n_tuples, local_strings, &rel->mutable_tuples()));
   }
   if (!cur.AtEnd()) {
     return Status::ParseError("trailing bytes in snapshot RELS section");
@@ -444,13 +373,13 @@ Status ParseRelationsSection(const SnapshotSection& section,
   return Status::OK();
 }
 
-// Reads the binary body (everything after "MAYBMS-WSD 2").
-Result<WsdDb> ReadWsdDbBinaryBody(std::istream& in) {
+// Reads the v2 binary body (everything after "MAYBMS-WSD 2").
+Result<WsdDb> ReadWsdDbV2Body(std::istream& in) {
   if (in.get() != '\n') {
     return Status::ParseError("expected newline after binary snapshot header");
   }
   MAYBMS_ASSIGN_OR_RETURN(SnapshotSection meta,
-                          ReadSectionExpecting(in, kSecMeta));
+                          snapshotv3::ReadSectionExpecting(in, kSecMeta));
   SnapshotCursor mc(meta.payload);
   MAYBMS_ASSIGN_OR_RETURN(uint32_t endian, mc.Read<uint32_t>());
   if (endian != kEndianMark) {
@@ -464,20 +393,20 @@ Result<WsdDb> ReadWsdDbBinaryBody(std::istream& in) {
   }
 
   MAYBMS_ASSIGN_OR_RETURN(SnapshotSection strs,
-                          ReadSectionExpecting(in, kSecStrings));
+                          snapshotv3::ReadSectionExpecting(in, kSecStrings));
   MAYBMS_ASSIGN_OR_RETURN(std::vector<uint32_t> local_to_global,
                           SnapshotStringTable::Restore(strs.payload));
 
   WsdDb db;
   db.mutable_options().max_component_rows = static_cast<size_t>(max_rows);
   MAYBMS_ASSIGN_OR_RETURN(SnapshotSection comp,
-                          ReadSectionExpecting(in, kSecComponents));
+                          snapshotv3::ReadSectionExpecting(in, kSecComponents));
   MAYBMS_RETURN_IF_ERROR(ParseComponentsSection(comp, local_to_global, &db));
   MAYBMS_ASSIGN_OR_RETURN(SnapshotSection rels,
-                          ReadSectionExpecting(in, kSecRelations));
+                          snapshotv3::ReadSectionExpecting(in, kSecRelations));
   MAYBMS_RETURN_IF_ERROR(ParseRelationsSection(rels, local_to_global, &db));
   MAYBMS_ASSIGN_OR_RETURN(SnapshotSection end,
-                          ReadSectionExpecting(in, kSecEnd));
+                          snapshotv3::ReadSectionExpecting(in, kSecEnd));
   if (!end.payload.empty()) {
     return Status::ParseError("snapshot END section carries payload");
   }
@@ -545,33 +474,12 @@ Status WriteWsdDb(const WsdDb& db, std::ostream& out) {
   return Status::OK();
 }
 
-Status WriteWsdDbBinary(const WsdDb& db, std::ostream& out) {
-  out << kMagic << " " << kBinaryVersion << "\n";
-  // COMP and RELS are built first so they populate the string table; the
-  // sections are then emitted in reader order with STRS ahead of both.
-  SnapshotStringTable strings;
-  std::string comp = BuildComponentsPayload(db, &strings);
-  std::string rels = BuildRelationsPayload(db, &strings);
-  MAYBMS_RETURN_IF_ERROR(
-      WriteSnapshotSection(out, kSecMeta, BuildMetaPayload(db)));
-  MAYBMS_RETURN_IF_ERROR(
-      WriteSnapshotSection(out, kSecStrings, strings.Serialize()));
-  MAYBMS_RETURN_IF_ERROR(WriteSnapshotSection(out, kSecComponents, comp));
-  MAYBMS_RETURN_IF_ERROR(WriteSnapshotSection(out, kSecRelations, rels));
-  MAYBMS_RETURN_IF_ERROR(WriteSnapshotSection(out, kSecEnd, ""));
-  if (!out.good()) return Status::Internal("stream write failure");
-  return Status::OK();
-}
-
 Result<std::string> SerializeWsdDb(const WsdDb& db, SnapshotFormat format) {
   std::ostringstream out;
   Status st;
   switch (format) {
     case SnapshotFormat::kBinary:
       st = WriteWsdDbBinaryV3(db, out);
-      break;
-    case SnapshotFormat::kBinaryV2:
-      st = WriteWsdDbBinary(db, out);
       break;
     case SnapshotFormat::kText:
       st = WriteWsdDb(db, out);
@@ -634,10 +542,31 @@ Result<WsdDb> ReadWsdDb(std::istream& in) {
     return Status::ParseError("expected snapshot version number");
   }
   if (version == kTextVersion) return ReadWsdDbText(in);
-  if (version == kBinaryVersion) return ReadWsdDbBinaryBody(in);
+  if (version == kBinaryVersionV2) return ReadWsdDbV2Body(in);
   if (version == kBinaryVersionV3) return snapshotv3::ReadWsdDbV3Body(in);
   return Status::Unsupported(
       StrFormat("unsupported WSD format version %lld", version));
+}
+
+namespace {
+
+// Reads a byte buffer in place; an istringstream would copy it first.
+// The get area is only read (putback of a different char fails rather
+// than writing), so the const_cast never writes through.
+class ViewStreamBuf : public std::streambuf {
+ public:
+  explicit ViewStreamBuf(std::string_view bytes) {
+    char* p = const_cast<char*>(bytes.data());
+    setg(p, p, p + bytes.size());
+  }
+};
+
+}  // namespace
+
+Result<WsdDb> ParseWsdDb(std::string_view bytes) {
+  ViewStreamBuf buf(bytes);
+  std::istream in(&buf);
+  return ReadWsdDb(in);
 }
 
 Result<WsdDb> LoadWsdDb(const std::string& path, Env* env) {
@@ -649,8 +578,7 @@ Result<WsdDb> LoadWsdDb(const std::string& path, Env* env) {
     return ReadWsdDb(in);
   }
   MAYBMS_ASSIGN_OR_RETURN(std::string bytes, env->ReadFileToString(path));
-  std::istringstream in(std::move(bytes));
-  return ReadWsdDb(in);
+  return ParseWsdDb(bytes);
 }
 
 }  // namespace maybms

@@ -1,28 +1,30 @@
-// Persistence for world-set databases. Two formats share the
-// "MAYBMS-WSD <version>" header line and are negotiated on read:
+// Persistence for world-set databases. Three versions share the
+// "MAYBMS-WSD <version>" header line and are negotiated on read; the
+// engine writes two of them:
 //
-//   - Version 1: a token-based text format that round-trips templates,
-//     components, probabilities, owners and options exactly. Strings are
-//     length-prefixed, so arbitrary content (including newlines and the
-//     ⊥ glyph) survives. Human-inspectable; v1 files remain readable
-//     forever.
-//   - Version 2: a binary columnar snapshot — the distinct strings the
-//     database references are dumped once (deduplicated blob + offset
-//     table), and each component/relation is written as raw slot-major
-//     tag/payload/probability arrays with per-section lengths and
-//     checksums. Loading is sequential bulk reads plus a per-string
-//     re-intern; no per-cell parsing. See docs/SNAPSHOT_FORMAT.md.
-//   - Version 3: the binary format with a shard directory — components
-//     and horizontal relation shards become self-contained, individually
-//     checksummed blocks whose offsets (plus per-shard pruning stats) are
-//     recorded up front, so a memory-mapped reader (core/mapped_db) can
-//     materialize only the blocks a query touches. Codecs live in
-//     core/snapshot_v3.h.
+//   - Version 3 (written): the binary columnar format with a shard
+//     directory. The distinct strings the database references are
+//     dumped once, components and horizontal relation shards are
+//     self-contained, individually checksummed blocks whose offsets (plus
+//     per-shard pruning stats) are recorded up front, so a memory-mapped
+//     reader (core/mapped_db) can materialize only the blocks a query
+//     touches. META carries the owner and component-id counters, which
+//     makes v3 the only durable WAL base. Codecs live in
+//     core/snapshot_v3.h; see docs/SNAPSHOT_FORMAT.md.
+//   - Version 1 (written, export only): a token-based text format that
+//     round-trips templates, components, probabilities, owners and
+//     options. Strings are length-prefixed, so arbitrary content
+//     (including newlines and the ⊥ glyph) survives. Human-inspectable;
+//     v1 files remain readable forever.
+//   - Version 2 (read only): the monolithic binary predecessor of v3 —
+//     one section per kind, one record per relation. Its records use the
+//     v3 layouts and decode through the v3 codecs.
 #ifndef MAYBMS_CORE_SERIALIZE_H_
 #define MAYBMS_CORE_SERIALIZE_H_
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "core/wsd.h"
@@ -32,17 +34,12 @@ namespace maybms {
 
 /// On-disk snapshot encodings.
 enum class SnapshotFormat {
-  kText,      ///< "MAYBMS-WSD 1": tokenized text
-  kBinary,    ///< "MAYBMS-WSD 3": sharded columnar binary sections
-  kBinaryV2,  ///< "MAYBMS-WSD 2": monolithic columnar binary sections
+  kText,    ///< "MAYBMS-WSD 1": tokenized text
+  kBinary,  ///< "MAYBMS-WSD 3": sharded columnar binary sections
 };
 
 /// Writes `db` to a stream in the text format (header "MAYBMS-WSD 1").
 Status WriteWsdDb(const WsdDb& db, std::ostream& out);
-
-/// Writes `db` to a stream in the legacy monolithic binary snapshot
-/// format (header "MAYBMS-WSD 2").
-Status WriteWsdDbBinary(const WsdDb& db, std::ostream& out);
 
 /// Writes `db` to a stream in the sharded binary snapshot format
 /// (header "MAYBMS-WSD 3"). Relations are split into horizontal shards
@@ -75,9 +72,11 @@ Status SaveWsdDb(const WsdDb& db, const std::string& path,
                  SnapshotFormat format = SnapshotFormat::kText,
                  const SaveFileOptions& opts = {});
 
-/// Reads a database written by WriteWsdDb or WriteWsdDbBinary — the
-/// format is negotiated from the header line — and validates invariants.
+/// Reads a v1, v2 or v3 snapshot — the format is negotiated from the
+/// header line — and validates invariants.
 Result<WsdDb> ReadWsdDb(std::istream& in);
+/// Reads a snapshot held in memory, without copying the bytes.
+Result<WsdDb> ParseWsdDb(std::string_view bytes);
 /// Loads from a file; `env` (null = Env::Default()) is the seam the
 /// fault-injection tests use.
 Result<WsdDb> LoadWsdDb(const std::string& path, Env* env = nullptr);

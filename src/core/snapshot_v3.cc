@@ -145,6 +145,11 @@ Result<std::pair<uint32_t, Component>> DecodeComponentRecord(
   return std::make_pair(id, std::move(c));
 }
 
+namespace {
+
+// Builds tuples [begin, end) of one shard from its bulk arrays. Each
+// tuple's dependency range starts at dep_offsets[t]; cells for tuple t
+// occupy tags/payloads[t*n_cols ... t*n_cols+n_cols).
 Status BuildTupleRange(std::vector<WsdTuple>* tuples, size_t begin,
                        size_t end, uint32_t n_cols,
                        const std::vector<uint32_t>& dep_counts,
@@ -206,6 +211,17 @@ Status BuildTupleRange(std::vector<WsdTuple>* tuples, size_t begin,
     }
   }
   return Status::OK();
+}
+
+}  // namespace
+
+std::vector<const std::string*> PoolStrings(
+    const std::vector<uint32_t>& local_to_global) {
+  std::vector<const std::string*> out;
+  out.reserve(local_to_global.size());
+  ValuePool& pool = ValuePool::Global();
+  for (uint32_t gid : local_to_global) out.push_back(&pool.Get(gid));
+  return out;
 }
 
 void AppendShardRecord(const WsdRelation& rel, size_t row_begin,
@@ -500,12 +516,6 @@ Result<std::vector<SectionView>> WalkSnapshotSections(std::string_view body) {
   return out;
 }
 
-namespace {
-
-void PadTo8(std::string* s) {
-  while (s->size() % 8 != 0) s->push_back('\0');
-}
-
 Result<SnapshotSection> ReadSectionExpecting(std::istream& in, uint32_t tag) {
   MAYBMS_ASSIGN_OR_RETURN(SnapshotSection s, ReadSnapshotSection(in));
   if (s.tag != tag) {
@@ -515,6 +525,12 @@ Result<SnapshotSection> ReadSectionExpecting(std::istream& in, uint32_t tag) {
                   SnapshotTagName(s.tag).c_str()));
   }
   return s;
+}
+
+namespace {
+
+void PadTo8(std::string* s) {
+  while (s->size() % 8 != 0) s->push_back('\0');
 }
 
 /// Reconstructs the relation's cached ShardPartition from directory
@@ -597,16 +613,8 @@ Result<WsdDb> ReadWsdDbV3Body(std::istream& in) {
         PlaceComponentAt(&db, dc.id, k, std::move(decoded.second)));
   }
 
-  // Materialize pool references once per distinct string: tuple builders
-  // then read them without touching the pool's mutex per cell.
-  std::vector<const std::string*> local_strings;
-  local_strings.reserve(local_to_global.size());
-  {
-    ValuePool& pool = ValuePool::Global();
-    for (uint32_t gid : local_to_global) {
-      local_strings.push_back(&pool.Get(gid));
-    }
-  }
+  const std::vector<const std::string*> local_strings =
+      PoolStrings(local_to_global);
   for (const DirRelation& dr : dir.relations) {
     MAYBMS_RETURN_IF_ERROR(db.CreateRelation(dr.name, dr.schema));
     WsdRelation* rel = db.GetMutableRelation(dr.name).value();

@@ -97,19 +97,11 @@ void AppendComponentRecord(const WsdDb& db, ComponentId id,
 Result<std::pair<uint32_t, Component>> DecodeComponentRecord(
     SnapshotCursor* cur, const std::vector<uint32_t>& local_to_global);
 
-/// Builds the tuples [begin, end) of one relation from the bulk arrays.
-/// Each tuple's dependency range starts at dep_offsets[t]; cells for
-/// tuple t occupy tags/payloads[t*n_cols ... t*n_cols+n_cols). Runs on
-/// worker threads — inputs are shared read-only, each index writes only
-/// its own tuple slot.
-Status BuildTupleRange(std::vector<WsdTuple>* tuples, size_t begin,
-                       size_t end, uint32_t n_cols,
-                       const std::vector<uint32_t>& dep_counts,
-                       const std::vector<uint64_t>& dep_offsets,
-                       const std::vector<uint64_t>& deps_flat,
-                       const std::vector<uint8_t>& tags,
-                       const std::vector<uint64_t>& payloads,
-                       const std::vector<const std::string*>& local_strings);
+/// Resolves a snapshot's local string ids to pool references once per
+/// distinct string, so tuple decoders (possibly on worker threads) read
+/// them without touching the pool's mutex per cell.
+std::vector<const std::string*> PoolStrings(
+    const std::vector<uint32_t>& local_to_global);
 
 /// Appends one relation shard record covering template rows
 /// [row_begin, row_end): dep_counts u32[n], u64 n_deps, deps u64[],
@@ -208,6 +200,9 @@ struct SectionView {
 /// Splits the bytes after the "MAYBMS-WSD 3\n" header line into section
 /// views (framing only — callers verify the checksums they rely on).
 Result<std::vector<SectionView>> WalkSnapshotSections(std::string_view body);
+
+/// Reads the next section from a stream; a different tag is a ParseError.
+Result<SnapshotSection> ReadSectionExpecting(std::istream& in, uint32_t tag);
 
 /// Reads the v3 binary body (everything after "MAYBMS-WSD 3") from a
 /// stream, fully verifying every section and block checksum.

@@ -140,7 +140,10 @@ struct RepairStmt {
 };
 
 /// SAVE DATABASE '<path>' [FORMAT TEXT|BINARY]: snapshots the whole
-/// world-set database. Defaults to the binary columnar format.
+/// world-set database. BINARY (the default) writes a v3 snapshot and,
+/// with the WAL enabled, attaches the session to it; TEXT writes a v1
+/// export and attaches nothing, since text stores neither the owner nor
+/// the component-id counter that log replay needs.
 struct SaveDbStmt {
   std::string path;
   bool binary = true;

@@ -1,7 +1,6 @@
 #include "sql/session.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "chase/enforce.h"
 #include "common/hash.h"
@@ -113,7 +112,6 @@ const Knob kKnobs[] = {
     MAYBMS_COUNT_KNOB("exec.parallel_row_threshold",
                       exec.parallel_row_threshold),
     MAYBMS_BOOL_KNOB("materialize_conf", materialize_conf),
-    MAYBMS_COUNT_KNOB("materialize_conf_capacity", materialize_conf_capacity),
     MAYBMS_BOOL_KNOB("optimizer.enable", optimizer.enable),
     MAYBMS_BOOL_KNOB("optimizer.fold_constants", optimizer.fold_constants),
     MAYBMS_BOOL_KNOB("optimizer.prune_projections",
@@ -209,6 +207,18 @@ Result<DeltaBatch> DecodeWalRecord(const wal::WalRecord& rec) {
   return LowerToDelta(stmt);
 }
 
+// Applies WAL records to `db` directly, never through the logging path.
+// Errors are deliberately dropped: a batch that failed (or half-applied,
+// e.g. a multi-row INSERT hitting a type error on its second row) when
+// first executed does the same on replay — ops apply deterministically
+// in record order, so the recovered state matches the crashed one.
+void ReplayWal(const std::vector<wal::WalRecord>& records, WsdDb* db) {
+  for (const wal::WalRecord& rec : records) {
+    Result<DeltaBatch> batch = DecodeWalRecord(rec);
+    if (batch.ok()) (void)db->ApplyDelta(*batch);
+  }
+}
+
 }  // namespace
 
 Status Session::SetOption(const std::string& name, const Value& value) {
@@ -239,11 +249,7 @@ uint64_t Session::SettingsFingerprint() const {
 
 MaterializedConf* Session::conf_cache() {
   if (!options_.materialize_conf) return nullptr;
-  const size_t cap = options_.materialize_conf_capacity;
-  if (!conf_cache_ || conf_cache_capacity_ != cap) {
-    conf_cache_ = std::make_unique<MaterializedConf>(cap);
-    conf_cache_capacity_ = cap;
-  }
+  if (!conf_cache_) conf_cache_ = std::make_unique<MaterializedConf>();
   return conf_cache_.get();
 }
 
@@ -288,13 +294,26 @@ Status Session::EnsureResident() {
   return Status::OK();
 }
 
-Result<uint64_t> Session::WriteSnapshot(const std::string& path,
-                                        SnapshotFormat format,
+Result<uint64_t> Session::WriteSnapshot(const WsdDb& db,
+                                        const std::string& path,
                                         uint64_t* out_bytes) {
-  MAYBMS_ASSIGN_OR_RETURN(std::string bytes, SerializeWsdDb(db_, format));
+  MAYBMS_ASSIGN_OR_RETURN(std::string bytes,
+                          SerializeWsdDb(db, SnapshotFormat::kBinary));
   MAYBMS_RETURN_IF_ERROR(AtomicWriteFile(env(), path, bytes));
   if (out_bytes != nullptr) *out_bytes = bytes.size();
   return wal::SnapshotFingerprint(bytes);
+}
+
+Result<Session::DurableAttachment> Session::StartLog(
+    const std::string& db_path, uint64_t fingerprint) {
+  DurableAttachment a;
+  a.db_path = db_path;
+  a.wal_path = wal::WalPathFor(db_path);
+  MAYBMS_ASSIGN_OR_RETURN(
+      wal::WalWriter writer,
+      wal::WalWriter::Create(env(), a.wal_path, fingerprint, /*base_lsn=*/1));
+  a.writer.emplace(std::move(writer));
+  return a;
 }
 
 Status Session::Checkpoint() {
@@ -307,28 +326,13 @@ Status Session::Checkpoint() {
   // Snapshot first, log reset second. A crash between the two leaves the
   // new snapshot next to the old log; the fingerprint mismatch on the
   // next load discards that log instead of double-applying it.
-  MAYBMS_ASSIGN_OR_RETURN(
-      uint64_t fingerprint,
-      WriteSnapshot(attach_->db_path, attach_->format, nullptr));
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t fingerprint,
+                          WriteSnapshot(db_, attach_->db_path, nullptr));
   attach_->writer.reset();
-  MAYBMS_ASSIGN_OR_RETURN(
-      wal::WalWriter writer,
-      wal::WalWriter::Create(env(), attach_->wal_path, fingerprint,
-                             /*base_lsn=*/1));
-  attach_->writer.emplace(std::move(writer));
+  MAYBMS_ASSIGN_OR_RETURN(DurableAttachment fresh,
+                          StartLog(attach_->db_path, fingerprint));
+  attach_ = std::move(fresh);
   return Status::OK();
-}
-
-void Session::ReplayWal(const std::vector<wal::WalRecord>& records) {
-  for (const wal::WalRecord& rec : records) {
-    // Errors are deliberately dropped: a batch that failed (or
-    // half-applied, e.g. a multi-row INSERT hitting a type error on its
-    // second row) when first executed does the same on replay — ops
-    // apply deterministically in record order, so the recovered state
-    // matches the crashed one.
-    Result<DeltaBatch> batch = DecodeWalRecord(rec);
-    if (batch.ok()) (void)db_.ApplyDelta(*batch);
-  }
 }
 
 Result<StatementResult> Session::ExecuteParsed(const Statement& stmt) {
@@ -458,28 +462,33 @@ Result<StatementResult> Session::RunMutation(const Statement& stmt) {
 }
 
 Result<StatementResult> Session::RunSaveDb(const SaveDbStmt& stmt) {
-  SnapshotFormat format =
-      stmt.binary ? SnapshotFormat::kBinary : SnapshotFormat::kText;
   // Saving to a new path supersedes any previous attachment; drop it
   // first so a failed save cannot leave a half-configured binding.
   attach_.reset();
+  StatementResult result;
+  if (!stmt.binary) {
+    // Text stores neither the owner nor the component-id counter that
+    // log replay relies on, so it is an export: SaveWsdDb writes it
+    // atomically and removes any log left from an older snapshot there.
+    SaveFileOptions opts;
+    opts.env = env();
+    MAYBMS_RETURN_IF_ERROR(
+        SaveWsdDb(db_, stmt.path, SnapshotFormat::kText, opts));
+    result.message = StrFormat(
+        "saved database to '%s' (text format); text stores neither the "
+        "owner nor the component counter, so it is an export: no log is "
+        "attached",
+        stmt.path.c_str());
+    return result;
+  }
   uint64_t bytes = 0;
   MAYBMS_ASSIGN_OR_RETURN(uint64_t fingerprint,
-                          WriteSnapshot(stmt.path, format, &bytes));
-  StatementResult result;
-  result.message = StrFormat(
-      "saved database to '%s' (%s format, %s)", stmt.path.c_str(),
-      stmt.binary ? "binary" : "text", FormatBytes(bytes).c_str());
+                          WriteSnapshot(db_, stmt.path, &bytes));
+  result.message = StrFormat("saved database to '%s' (binary format, %s)",
+                             stmt.path.c_str(), FormatBytes(bytes).c_str());
   if (options_.durability.wal_enabled) {
-    DurableAttachment a;
-    a.db_path = stmt.path;
-    a.wal_path = wal::WalPathFor(stmt.path);
-    a.format = format;
-    MAYBMS_ASSIGN_OR_RETURN(
-        wal::WalWriter writer,
-        wal::WalWriter::Create(env(), a.wal_path, fingerprint,
-                               /*base_lsn=*/1));
-    a.writer.emplace(std::move(writer));
+    MAYBMS_ASSIGN_OR_RETURN(DurableAttachment a,
+                            StartLog(stmt.path, fingerprint));
     attach_.emplace(std::move(a));
     result.message += StrFormat("; logging to '%s'",
                                 attach_->wal_path.c_str());
@@ -488,172 +497,106 @@ Result<StatementResult> Session::RunSaveDb(const SaveDbStmt& stmt) {
 }
 
 Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
-  StatementResult result;
+  // Everything fallible runs against locals; the session changes only
+  // once the load has succeeded, so a failed LOAD leaves it untouched.
   const std::string wal_path = wal::WalPathFor(stmt.path);
-
+  const bool durable = options_.durability.wal_enabled;
+  std::optional<MappedWsdDb> mapped;
+  WsdDb loaded;
+  uint64_t fingerprint = 0;
   if (stmt.mapped) {
-    MAYBMS_ASSIGN_OR_RETURN(MappedWsdDb mapped,
-                            MappedWsdDb::Open(stmt.path, {}, env()));
-    size_t pending_records = 0;
-    if (options_.durability.wal_enabled) {
-      const uint64_t fingerprint =
-          wal::SnapshotFingerprint(mapped.snapshot_view());
-      Result<wal::WalContents> contents = wal::ReadWal(env(), wal_path);
-      if (contents.ok() && contents->usable &&
-          contents->snapshot_fingerprint == fingerprint &&
-          !contents->records.empty()) {
-        // The log is newer than the snapshot: a mapped open cannot apply
-        // it lazily, so materialize, replay, checkpoint (folding the log
-        // into the snapshot) and re-map the now-current file.
-        MAYBMS_ASSIGN_OR_RETURN(WsdDb full, mapped.MaterializeAll());
-        pending_records = contents->records.size();
-        WsdDb saved_db = std::move(db_);
-        auto saved_mapped = std::move(mapped_);
-        db_ = std::move(full);
-        mapped_.reset();
-        ReplayWal(contents->records);
-        attach_.reset();
-        uint64_t bytes = 0;
-        Result<uint64_t> fp2 =
-            WriteSnapshot(stmt.path, SnapshotFormat::kBinary, &bytes);
-        Result<MappedWsdDb> remapped =
-            fp2.ok() ? MappedWsdDb::Open(stmt.path, {}, env())
-                     : Result<MappedWsdDb>(fp2.status());
-        Result<wal::WalWriter> writer =
-            remapped.ok() ? wal::WalWriter::Create(env(), wal_path, *fp2,
-                                                   /*base_lsn=*/1)
-                          : Result<wal::WalWriter>(remapped.status());
-        if (!writer.ok()) {
-          // Roll the catalog back so a failed LOAD leaves the session
-          // untouched (the replayed snapshot may be half-written; its
-          // stale log is ignored by the fingerprint check next time).
-          db_ = std::move(saved_db);
-          mapped_ = std::move(saved_mapped);
-          return writer.status();
-        }
-        mapped = std::move(*remapped);
-        DurableAttachment a;
-        a.db_path = stmt.path;
-        a.wal_path = wal_path;
-        a.format = SnapshotFormat::kBinary;
-        a.writer.emplace(std::move(*writer));
-        attach_.emplace(std::move(a));
-      } else {
-        MAYBMS_RETURN_IF_ERROR(AttachForLoad(stmt.path, wal_path, fingerprint,
-                                             SnapshotFormat::kBinary,
-                                             contents));
-      }
+    MAYBMS_ASSIGN_OR_RETURN(mapped, MappedWsdDb::Open(stmt.path, {}, env()));
+    if (durable) {
+      fingerprint = wal::SnapshotFingerprint(mapped->snapshot_view());
     }
+  } else if (!durable) {
+    MAYBMS_ASSIGN_OR_RETURN(loaded, LoadWsdDb(stmt.path, env()));
+  } else {
+    // The snapshot bytes are read once, for decoding and the fingerprint.
+    MAYBMS_ASSIGN_OR_RETURN(std::string bytes,
+                            env()->ReadFileToString(stmt.path));
+    fingerprint = wal::SnapshotFingerprint(bytes);
+    MAYBMS_ASSIGN_OR_RETURN(loaded, ParseWsdDb(bytes));
+  }
+
+  std::optional<DurableAttachment> attach;
+  size_t recovered = 0;
+  if (durable) {
+    Result<wal::WalContents> contents = wal::ReadWal(env(), wal_path);
+    if (contents.ok() && contents->usable &&
+        contents->snapshot_fingerprint == fingerprint) {
+      recovered = contents->records.size();
+    }
+    if (recovered > 0 && mapped) {
+      // A mapped open cannot apply the log lazily: materialize, replay,
+      // fold the log into a fresh snapshot and re-map that file.
+      MAYBMS_ASSIGN_OR_RETURN(loaded, mapped->MaterializeAll());
+      ReplayWal(contents->records, &loaded);
+      MAYBMS_ASSIGN_OR_RETURN(uint64_t folded,
+                              WriteSnapshot(loaded, stmt.path, nullptr));
+      MAYBMS_ASSIGN_OR_RETURN(mapped, MappedWsdDb::Open(stmt.path, {}, env()));
+      MAYBMS_ASSIGN_OR_RETURN(attach, StartLog(stmt.path, folded));
+    } else {
+      if (recovered > 0) ReplayWal(contents->records, &loaded);
+      MAYBMS_ASSIGN_OR_RETURN(attach,
+                              OpenLogForLoad(stmt.path, fingerprint, contents));
+    }
+  }
+
+  StatementResult result;
+  if (mapped) {
     size_t shards = 0;
-    for (const auto& part : mapped.partitions()) {
-      shards += part.shards.size();
-    }
+    for (const auto& part : mapped->partitions()) shards += part.shards.size();
     // The resident catalog becomes the schema-only skeleton so that
     // SHOW TABLES / planning keep working without touching data.
-    db_ = mapped.skeleton();
+    db_ = mapped->skeleton();
     result.message = StrFormat(
         "mapped database from '%s': %zu relation(s), %zu shard(s), "
         "%zu component(s), %s on disk",
         stmt.path.c_str(), db_.relations().size(), shards,
-        mapped.num_components(), FormatBytes(mapped.snapshot_bytes()).c_str());
-    if (pending_records > 0) {
-      result.message += StrFormat("; recovered %zu statement(s) from '%s'",
-                                  pending_records, wal_path.c_str());
-    }
-    mapped_.emplace(std::move(mapped));
-    return result;
-  }
-
-  if (!options_.durability.wal_enabled) {
-    MAYBMS_ASSIGN_OR_RETURN(WsdDb loaded, LoadWsdDb(stmt.path, env()));
-    // Swap the session catalog only after a fully validated load, so a
-    // failed LOAD DATABASE leaves the current database untouched.
+        mapped->num_components(),
+        FormatBytes(mapped->snapshot_bytes()).c_str());
+  } else {
     db_ = std::move(loaded);
-    mapped_.reset();
-    attach_.reset();
     result.message = StrFormat(
         "loaded database from '%s': %zu relation(s), %zu component(s), "
         "2^%.4g choice combinations",
         stmt.path.c_str(), db_.relations().size(), db_.NumLiveComponents(),
         db_.Log2WorldCount());
-    return result;
   }
-
-  // Durable eager load: snapshot bytes are read once and reused for both
-  // decoding and the WAL fingerprint; all fallible I/O (snapshot read,
-  // log scan, torn-tail repair, log reset) happens before the catalog
-  // swap, so a failed LOAD leaves the session untouched.
-  MAYBMS_ASSIGN_OR_RETURN(std::string bytes,
-                          env()->ReadFileToString(stmt.path));
-  const uint64_t fingerprint = wal::SnapshotFingerprint(bytes);
-  // Future checkpoints rewrite the snapshot in the format it holds now.
-  SnapshotFormat format = SnapshotFormat::kBinary;
-  if (bytes.rfind("MAYBMS-WSD 1", 0) == 0) format = SnapshotFormat::kText;
-  if (bytes.rfind("MAYBMS-WSD 2", 0) == 0) format = SnapshotFormat::kBinaryV2;
-  WsdDb loaded;
-  {
-    std::istringstream in(std::move(bytes));
-    MAYBMS_ASSIGN_OR_RETURN(loaded, ReadWsdDb(in));
-  }
-  Result<wal::WalContents> contents = wal::ReadWal(env(), wal_path);
-  std::vector<wal::WalRecord> to_replay;
-  if (contents.ok() && contents->usable &&
-      contents->snapshot_fingerprint == fingerprint) {
-    // Copied, not moved: AttachForLoad still needs the record count to
-    // continue the log at the right LSN.
-    to_replay = contents->records;
-  }
-  attach_.reset();
-  MAYBMS_RETURN_IF_ERROR(
-      AttachForLoad(stmt.path, wal_path, fingerprint, format, contents));
-
-  db_ = std::move(loaded);
-  mapped_.reset();
-  if (!to_replay.empty()) ReplayWal(to_replay);
-
-  result.message = StrFormat(
-      "loaded database from '%s': %zu relation(s), %zu component(s), "
-      "2^%.4g choice combinations",
-      stmt.path.c_str(), db_.relations().size(), db_.NumLiveComponents(),
-      db_.Log2WorldCount());
-  if (!to_replay.empty()) {
+  mapped_ = std::move(mapped);
+  attach_ = std::move(attach);
+  if (recovered > 0) {
     result.message += StrFormat("; recovered %zu statement(s) from '%s'",
-                                to_replay.size(), wal_path.c_str());
+                                recovered, wal_path.c_str());
   }
   return result;
 }
 
-Status Session::AttachForLoad(const std::string& db_path,
-                              const std::string& wal_path,
-                              uint64_t fingerprint, SnapshotFormat format,
-                              const Result<wal::WalContents>& contents) {
-  DurableAttachment a;
-  a.db_path = db_path;
-  a.wal_path = wal_path;
-  a.format = format;
+Result<Session::DurableAttachment> Session::OpenLogForLoad(
+    const std::string& db_path, uint64_t fingerprint,
+    const Result<wal::WalContents>& contents) {
   if (contents.ok() && contents->usable &&
       contents->snapshot_fingerprint == fingerprint) {
     // Continue the existing log (repairing any torn tail) so replayed
     // records stay durable until the next checkpoint folds them in.
+    DurableAttachment a;
+    a.db_path = db_path;
+    a.wal_path = wal::WalPathFor(db_path);
     MAYBMS_ASSIGN_OR_RETURN(
         wal::WalWriter writer,
-        wal::WalWriter::OpenForAppend(env(), wal_path, *contents));
+        wal::WalWriter::OpenForAppend(env(), a.wal_path, *contents));
     a.writer.emplace(std::move(writer));
-  } else if (contents.ok() ||
-             contents.status().code() == StatusCode::kNotFound) {
+    return a;
+  }
+  if (contents.ok() || contents.status().code() == StatusCode::kNotFound) {
     // Missing, corrupt, or bound to a different snapshot generation:
     // start a fresh log for this snapshot.
-    MAYBMS_ASSIGN_OR_RETURN(
-        wal::WalWriter writer,
-        wal::WalWriter::Create(env(), wal_path, fingerprint, /*base_lsn=*/1));
-    a.writer.emplace(std::move(writer));
-  } else {
-    // A hard I/O error scanning the log: without it durability cannot be
-    // promised, so fail the load rather than run half-protected.
-    return contents.status();
+    return StartLog(db_path, fingerprint);
   }
-  attach_.emplace(std::move(a));
-  return Status::OK();
+  // A hard I/O error scanning the log: without it durability cannot be
+  // promised, so fail the load rather than run half-protected.
+  return contents.status();
 }
 
 Result<StatementResult> Session::RunSelect(const SelectStmt& stmt) {

@@ -28,14 +28,15 @@
 namespace maybms {
 namespace sql {
 
-/// Durability knobs. When the WAL is enabled, SAVE DATABASE (and LOAD
-/// DATABASE of a saved snapshot) attaches the session to the snapshot
-/// file: every subsequent mutation — a mutating statement or a delta
-/// batch — is appended to `<snapshot>.wal` as one kDelta record and
-/// fsynced *before* it is applied, so a crash loses at most the
-/// mutation that never acknowledged. LOAD DATABASE replays
-/// any log newer than the snapshot; CHECKPOINT (or the automatic
-/// threshold) rewrites the snapshot and resets the log.
+/// Durability knobs. When the WAL is enabled, a binary SAVE DATABASE (and
+/// LOAD DATABASE of a saved snapshot) attaches the session to the
+/// snapshot file: every subsequent mutation — a mutating statement or a
+/// delta batch — is appended to `<snapshot>.wal` as one kDelta record
+/// and fsynced *before* it is applied, so a crash loses at most the
+/// mutation that never acknowledged. LOAD DATABASE replays any log newer
+/// than the snapshot; CHECKPOINT (or the automatic threshold) rewrites
+/// the snapshot as v3 and resets the log. A text SAVE is an export and
+/// attaches nothing.
 struct DurabilityOptions {
   /// Master switch; when false SAVE/LOAD never attach a log.
   bool wal_enabled = true;
@@ -71,9 +72,6 @@ struct SessionOptions {
   /// dirtied and replay the cheap combine for the rest. Results are
   /// bit-identical with and without.
   bool materialize_conf = true;
-  /// Entry capacity of that cache (takes effect on the next query after
-  /// a change).
-  size_t materialize_conf_capacity = 8192;
 };
 
 /// What a statement produced.
@@ -173,7 +171,6 @@ class Session {
   struct DurableAttachment {
     std::string db_path;
     std::string wal_path;
-    SnapshotFormat format = SnapshotFormat::kBinary;
     std::optional<wal::WalWriter> writer;
   };
 
@@ -188,21 +185,20 @@ class Session {
   /// Statements that mutate or read the whole catalog force the mapped
   /// snapshot fully resident (into db_) and drop the mapping.
   Status EnsureResident();
-  /// Serializes db_ to `path` atomically; returns the bytes' fingerprint.
-  Result<uint64_t> WriteSnapshot(const std::string& path,
-                                 SnapshotFormat format, uint64_t* out_bytes);
-  /// Binds the session to `db_path` + `wal_path` after a load: continues
-  /// a matching log (tail-repaired), or starts a fresh one when the log
-  /// is missing, corrupt, or from another snapshot generation.
-  Status AttachForLoad(const std::string& db_path, const std::string& wal_path,
-                       uint64_t fingerprint, SnapshotFormat format,
-                       const Result<wal::WalContents>& contents);
-  /// Applies WAL records to db_ directly, never through the logging
-  /// path. Legacy kStatement records are parsed and lowered to a batch
-  /// first. Errors per record are deliberately ignored: a mutation that
-  /// failed when first executed fails — or half-applies — identically
-  /// on replay.
-  void ReplayWal(const std::vector<wal::WalRecord>& records);
+  /// Serializes `db` to `path` atomically as a v3 snapshot — the only
+  /// WAL base, since its META carries the owner and component-id
+  /// counters replay depends on; returns the bytes' fingerprint.
+  Result<uint64_t> WriteSnapshot(const WsdDb& db, const std::string& path,
+                                 uint64_t* out_bytes);
+  /// A fresh, empty log for the snapshot at `db_path`.
+  Result<DurableAttachment> StartLog(const std::string& db_path,
+                                     uint64_t fingerprint);
+  /// The log a load binds to: continues a matching log (tail-repaired),
+  /// or starts a fresh one when the log is missing, corrupt, or from
+  /// another snapshot generation.
+  Result<DurableAttachment> OpenLogForLoad(
+      const std::string& db_path, uint64_t fingerprint,
+      const Result<wal::WalContents>& contents);
 
   WsdDb db_;
   /// Engaged after LOAD DATABASE ... MAPPED; db_ then holds the
@@ -210,10 +206,8 @@ class Session {
   /// SELECTs materialize per-query scratch databases from the map.
   std::optional<MappedWsdDb> mapped_;
   SessionOptions options_;
-  /// Lazily created by conf_cache(); recreated when
-  /// materialize_conf_capacity changes.
+  /// Lazily created by conf_cache().
   std::unique_ptr<MaterializedConf> conf_cache_;
-  size_t conf_cache_capacity_ = 0;
   Env* env_ = nullptr;
   std::optional<DurableAttachment> attach_;
 };

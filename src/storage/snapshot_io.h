@@ -1,4 +1,4 @@
-// Low-level binary I/O for the "MAYBMS-WSD 2" snapshot format: section
+// Low-level binary I/O for the binary snapshot formats (v2 and v3): section
 // framing with per-section lengths and FNV-1a checksums, bounds-checked
 // buffer parsing of POD scalars and arrays, and the string-table
 // dump/restore that persists the slice of the global ValuePool a

@@ -321,6 +321,76 @@ TEST(DurabilityTest, LegacyStatementLogRecoversToTheSameDatabase) {
   testing_util::ExpectDbsExactlyEqual(direct.db(), c.db());
 }
 
+// A v1 or v2 base does not persist the component-id counter. Once
+// DELETE ... OLDEST has collected the highest component, the next or-set
+// gets an id above every live one; a base that forgot the counter would
+// make replay allocate a lower id, so the logged Reweight would miss it.
+// The first CHECKPOINT of a durably loaded v2 file therefore writes v3.
+TEST(DurabilityTest, CheckpointUpgradesV2BaseAndKeepsComponentIds) {
+  FaultInjectingEnv env;
+  MAYBMS_ASSERT_OK(AtomicWriteFile(
+      &env, "db", testing_util::ReadFixture("medical_v2.wsd")));
+  Session s;
+  s.set_env(&env);
+  MAYBMS_ASSERT_OK(s.Execute("LOAD DATABASE 'db'").status());
+  ASSERT_TRUE(s.has_durable_attachment());
+  MAYBMS_ASSERT_OK(
+      s.ExecuteScript(
+           "INSERT INTO R VALUES ({'flu': 0.5, 'cold': 0.5}, 'swab', 'fever');"
+           "CREATE TABLE u (v INT);"
+           "INSERT INTO u VALUES ({1: 0.5, 2: 0.5});"
+           "DELETE FROM u OLDEST 1;"
+           "CHECKPOINT")
+          .status());
+  auto snapshot = env.ReadFileToString("db");
+  MAYBMS_ASSERT_OK(snapshot.status());
+  EXPECT_EQ(snapshot->substr(0, snapshot->find('\n')), "MAYBMS-WSD 3");
+
+  DeltaBatch insert;
+  insert.Insert("u", {CellSpec::OrSet({{Value::Int(3), 0.5},
+                                       {Value::Int(4), 0.5}})});
+  MAYBMS_ASSERT_OK(s.ApplyDelta(insert).status());
+  DeltaBatch touch;
+  touch.Reweight(s.db().LiveComponents().back(), {0.9, 0.1});
+  MAYBMS_ASSERT_OK(s.ApplyDelta(touch).status());
+
+  Session b;
+  b.set_env(&env);
+  auto loaded = b.Execute("LOAD DATABASE 'db'");
+  MAYBMS_ASSERT_OK(loaded.status());
+  EXPECT_NE(loaded->message.find("recovered 2 statement(s)"),
+            std::string::npos)
+      << loaded->message;
+  testing_util::ExpectDbsExactlyEqual(s.db(), b.db());
+}
+
+// Text snapshots store neither the owner nor the component counter, so
+// a text SAVE is an export: it drops any attachment and starts no log.
+TEST(DurabilityTest, TextSaveIsAnExportWithoutLog) {
+  FaultInjectingEnv env;
+  Session s;
+  s.set_env(&env);
+  Populate(&s);
+  MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
+  ASSERT_TRUE(s.has_durable_attachment());
+
+  auto saved = s.Execute("SAVE DATABASE 'export' FORMAT TEXT");
+  MAYBMS_ASSERT_OK(saved.status());
+  EXPECT_FALSE(s.has_durable_attachment());
+  EXPECT_FALSE(env.FileExists("export.wal"));
+  EXPECT_NE(saved->message.find("no log"), std::string::npos)
+      << saved->message;
+  // Mutations are no longer logged anywhere.
+  MAYBMS_ASSERT_OK(s.Execute("INSERT INTO t VALUES (7, 1.0)").status());
+  EXPECT_EQ(s.wal_record_count(), 0u);
+
+  Session b;
+  b.set_env(&env);
+  b.mutable_options().durability.wal_enabled = false;
+  MAYBMS_ASSERT_OK(b.Execute("LOAD DATABASE 'export'").status());
+  EXPECT_EQ(b.db().GetRelation("t").value()->NumTuples(), 2u);
+}
+
 // Satellite: LOAD DATABASE ... MAPPED under injected I/O failures must
 // fail cleanly and leave the session's catalog untouched.
 TEST(DurabilityTest, MappedLoadFailureLeavesCatalogUnchanged) {

@@ -111,12 +111,11 @@ void ExpectSameAnswer(const StatementResult& eager,
 }
 
 TEST(MappedDbTest, OpenRejectsOlderFormats) {
-  WsdDb db = BuildShardedDb();
-  std::string v2 = ::testing::TempDir() + "/mapped_reject_v2.wsd";
-  MAYBMS_ASSERT_OK(SaveWsdDb(db, v2, SnapshotFormat::kBinaryV2));
-  auto r = MappedWsdDb::Open(v2);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+  for (const char* fixture : {"/medical_v1.wsd", "/medical_v2.wsd"}) {
+    auto r = MappedWsdDb::Open(std::string(MAYBMS_TEST_DATA_DIR) + fixture);
+    ASSERT_FALSE(r.ok()) << fixture;
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported) << fixture;
+  }
 
   EXPECT_EQ(MappedWsdDb::Open("/nonexistent/x.wsd").status().code(),
             StatusCode::kNotFound);

@@ -19,11 +19,84 @@ namespace {
 
 using testing_util::ExpectDistEq;
 using testing_util::MedicalExample;
+using testing_util::ReadFixture;
 using testing_util::RelationDistribution;
 
 std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
+
+// Edge-case databases for the binary round trips. Each was also written
+// by the v2 writer into a fixture under tests/data/ before that writer
+// was retired, so the v2 reader stays pinned against the same databases.
+WsdDb TrickyValuesDb() {
+  WsdDb db;
+  EXPECT_TRUE(db.CreateRelation("t", Schema({{"s", ValueType::kString},
+                                             {"d", ValueType::kDouble},
+                                             {"b", ValueType::kBool},
+                                             {"i", ValueType::kInt}}))
+                  .ok());
+  std::string with_nul = "nul";
+  with_nul += '\0';
+  with_nul += "inside";
+  EXPECT_TRUE(
+      InsertTuple(&db, "t",
+                  {CellSpec::OrSet({{Value::String("with space\nand\n"
+                                                   "newlines: s5:x"),
+                                     0.5},
+                                    {Value::String(with_nul), 0.25},
+                                    {Value::String(""), 0.25}}),
+                   CellSpec::Certain(Value::Double(-0.0)),
+                   CellSpec::Certain(Value::Bool(false)),
+                   CellSpec::Certain(Value::Int(-9223372036854775807LL))})
+          .ok());
+  EXPECT_TRUE(InsertTuple(&db, "t",
+                          {CellSpec::Certain(Value::Null()),
+                           CellSpec::Certain(Value::Double(1e-300)),
+                           CellSpec::Certain(Value::Null()),
+                           CellSpec::Certain(Value::Null())})
+                  .ok());
+  return db;
+}
+
+// Merging both components kills ids 0 and 1 and creates 2: the live set
+// has gaps that the cells' ids must keep.
+WsdDb ComponentGapsDb() {
+  WsdDb db = MedicalExample();
+  EXPECT_TRUE(db.MergeComponents(db.LiveComponents(), 1u << 12).ok());
+  return db;
+}
+
+// A relation with no tuples, next to a populated one.
+WsdDb EmptyRelationDb() {
+  WsdDb db = MedicalExample();
+  EXPECT_TRUE(
+      db.CreateRelation("empty", Schema({{"x", ValueType::kInt}})).ok());
+  return db;
+}
+
+WsdDb RandomFixtureDb() {
+  Rng rng(7134);
+  testing_util::RandomWsdOptions opt;
+  opt.num_relations = 3;
+  opt.max_tuples = 8;
+  opt.p_uncertain_cell = 0.5;
+  opt.p_joint = 0.4;
+  return testing_util::RandomWsd(&rng, opt);
+}
+
+struct V2Fixture {
+  const char* file;
+  WsdDb (*build)();
+};
+
+const V2Fixture kV2Fixtures[] = {
+    {"medical_v2.wsd", MedicalExample},
+    {"tricky_values_v2.wsd", TrickyValuesDb},
+    {"component_gaps_v2.wsd", ComponentGapsDb},
+    {"empty_relation_v2.wsd", EmptyRelationDb},
+    {"random_v2.wsd", RandomFixtureDb},
+};
 
 TEST(SerializeTest, MedicalExampleRoundTrip) {
   WsdDb db = MedicalExample();
@@ -144,12 +217,12 @@ TEST_P(SerializeRandom, RoundTripPreservesDistribution) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeRandom, ::testing::Range(0, 15));
 
-// --- binary columnar snapshot format ("MAYBMS-WSD 2") ----------------------
+// --- binary columnar snapshot format ("MAYBMS-WSD 3") ----------------------
 
 TEST(SerializeBinaryTest, MedicalExampleExactRoundTrip) {
   WsdDb db = MedicalExample();
   std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+  MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
   auto back = ReadWsdDb(ss);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   MAYBMS_ASSERT_OK(back->CheckInvariants());
@@ -162,7 +235,7 @@ TEST(SerializeBinaryTest, MedicalExampleExactRoundTrip) {
 
 TEST(SerializeBinaryTest, FileRoundTripWithFormatNegotiation) {
   WsdDb db = MedicalExample();
-  std::string bin_path = TempPath("maybms_roundtrip_v2.wsd");
+  std::string bin_path = TempPath("maybms_roundtrip_v3.wsd");
   std::string text_path = TempPath("maybms_roundtrip_v1.wsd");
   MAYBMS_ASSERT_OK(SaveWsdDb(db, bin_path, SnapshotFormat::kBinary));
   MAYBMS_ASSERT_OK(SaveWsdDb(db, text_path, SnapshotFormat::kText));
@@ -177,34 +250,9 @@ TEST(SerializeBinaryTest, FileRoundTripWithFormatNegotiation) {
 }
 
 TEST(SerializeBinaryTest, TrickyValuesSurvive) {
-  WsdDb db;
-  MAYBMS_ASSERT_OK(db.CreateRelation(
-      "t", Schema({{"s", ValueType::kString},
-                   {"d", ValueType::kDouble},
-                   {"b", ValueType::kBool},
-                   {"i", ValueType::kInt}})));
-  std::string with_nul = "nul";
-  with_nul += '\0';
-  with_nul += "inside";
-  ASSERT_TRUE(
-      InsertTuple(&db, "t",
-                  {CellSpec::OrSet({{Value::String("with space\nand\n"
-                                                   "newlines: s5:x"),
-                                     0.5},
-                                    {Value::String(with_nul), 0.25},
-                                    {Value::String(""), 0.25}}),
-                   CellSpec::Certain(Value::Double(-0.0)),
-                   CellSpec::Certain(Value::Bool(false)),
-                   CellSpec::Certain(Value::Int(-9223372036854775807LL))})
-          .ok());
-  ASSERT_TRUE(InsertTuple(&db, "t",
-                          {CellSpec::Certain(Value::Null()),
-                           CellSpec::Certain(Value::Double(1e-300)),
-                           CellSpec::Certain(Value::Null()),
-                           CellSpec::Certain(Value::Null())})
-                  .ok());
+  WsdDb db = TrickyValuesDb();
   std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+  MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
   auto back = ReadWsdDb(ss);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   testing_util::ExpectDbsExactlyEqual(db, *back);
@@ -215,18 +263,16 @@ TEST(SerializeBinaryTest, EmptyAndDegenerateDbsRoundTrip) {
   {
     WsdDb db;
     std::stringstream ss;
-    MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+    MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
     auto back = ReadWsdDb(ss);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     testing_util::ExpectDbsExactlyEqual(db, *back);
   }
   // A relation with no tuples, next to a populated one.
   {
-    WsdDb db = MedicalExample();
-    MAYBMS_ASSERT_OK(
-        db.CreateRelation("empty", Schema({{"x", ValueType::kInt}})));
+    WsdDb db = EmptyRelationDb();
     std::stringstream ss;
-    MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+    MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
     auto back = ReadWsdDb(ss);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     testing_util::ExpectDbsExactlyEqual(db, *back);
@@ -234,11 +280,9 @@ TEST(SerializeBinaryTest, EmptyAndDegenerateDbsRoundTrip) {
 }
 
 TEST(SerializeBinaryTest, GapsInComponentIdsSurvive) {
-  WsdDb db = MedicalExample();
-  auto merged = db.MergeComponents(db.LiveComponents(), 1u << 12);
-  ASSERT_TRUE(merged.ok());
+  WsdDb db = ComponentGapsDb();
   std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+  MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
   auto back = ReadWsdDb(ss);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   MAYBMS_ASSERT_OK(back->CheckInvariants());
@@ -248,7 +292,7 @@ TEST(SerializeBinaryTest, GapsInComponentIdsSurvive) {
 TEST(SerializeBinaryTest, LoadedDbSupportsFurtherOperations) {
   WsdDb db = MedicalExample();
   std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+  MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
   auto back = ReadWsdDb(ss);
   ASSERT_TRUE(back.ok());
   // The owner counter was persisted: new inserts must not collide with
@@ -269,7 +313,7 @@ TEST(SerializeBinaryTest, LoadedDbSupportsFurtherOperations) {
 TEST(SerializeBinaryTest, EveryTruncationFailsCleanly) {
   WsdDb db = MedicalExample();
   std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+  MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
   std::string full = ss.str();
   for (size_t len = 0; len < full.size(); ++len) {
     std::stringstream cut(full.substr(0, len));
@@ -281,7 +325,7 @@ TEST(SerializeBinaryTest, EveryTruncationFailsCleanly) {
 TEST(SerializeBinaryTest, EveryByteFlipFailsCleanly) {
   WsdDb db = MedicalExample();
   std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+  MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
   std::string full = ss.str();
   // Flipping any single byte must yield a clean Status — the section
   // checksums catch payload damage, the framing catches the rest. (A
@@ -299,7 +343,7 @@ TEST(SerializeBinaryTest, EveryByteFlipFailsCleanly) {
 TEST(SerializeBinaryTest, ChecksumMismatchIsReported) {
   WsdDb db = MedicalExample();
   std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+  MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
   std::string full = ss.str();
   // Corrupt one byte inside the last section payload (RELS), ahead of
   // the empty END section's 20-byte framing.
@@ -311,23 +355,45 @@ TEST(SerializeBinaryTest, ChecksumMismatchIsReported) {
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
 
-TEST(SerializeBinaryTest, HugeComponentIdIsRejectedNotAllocated) {
-  // A checksummed-but-hostile snapshot demanding a component id with
-  // ~2^28 dead-id gaps must fail fast instead of materializing them.
+// Hostile v2 images, built by hand: the read-only v2 reader keeps the
+// same allocation bounds as v3. Sections carry valid checksums, so only
+// the count checks stand between a crafted file and a huge allocation.
+std::string HandBuiltV2(const std::string& comp, const std::string& rels) {
   std::stringstream out;
   out << "MAYBMS-WSD 2\n";
   std::string meta;
   PutPod(&meta, static_cast<uint32_t>(0x32445357));  // endian mark
   PutPod(&meta, static_cast<uint64_t>(1u << 20));    // max_component_rows
   PutPod(&meta, static_cast<uint64_t>(1));           // owner counter
-  MAYBMS_ASSERT_OK(WriteSnapshotSection(
-      out, SnapshotFourCC('M', 'E', 'T', 'A'), meta));
   std::string strs;
   PutPod(&strs, static_cast<uint32_t>(0));  // no strings
   PutPod(&strs, static_cast<uint64_t>(0));  // blob length
   PutPod(&strs, static_cast<uint64_t>(0));  // sentinel offset
-  MAYBMS_ASSERT_OK(WriteSnapshotSection(
-      out, SnapshotFourCC('S', 'T', 'R', 'S'), strs));
+  EXPECT_TRUE(
+      WriteSnapshotSection(out, SnapshotFourCC('M', 'E', 'T', 'A'), meta).ok());
+  EXPECT_TRUE(
+      WriteSnapshotSection(out, SnapshotFourCC('S', 'T', 'R', 'S'), strs).ok());
+  EXPECT_TRUE(
+      WriteSnapshotSection(out, SnapshotFourCC('C', 'O', 'M', 'P'), comp).ok());
+  EXPECT_TRUE(
+      WriteSnapshotSection(out, SnapshotFourCC('R', 'E', 'L', 'S'), rels).ok());
+  EXPECT_TRUE(
+      WriteSnapshotSection(out, SnapshotFourCC('E', 'N', 'D', '.'), "").ok());
+  return out.str();
+}
+
+void ExpectParseError(const std::string& image, const char* reason) {
+  std::stringstream in(image);
+  auto r = ReadWsdDb(in);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find(reason), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(SerializeBinaryTest, HugeComponentIdIsRejectedNotAllocated) {
+  // A component id with ~2^28 dead-id gaps must fail fast instead of
+  // materializing them.
   std::string comp;
   PutPod(&comp, static_cast<uint32_t>(1));           // one component...
   PutPod(&comp, static_cast<uint32_t>(0x0fffffff));  // ...at a huge id
@@ -338,44 +404,43 @@ TEST(SerializeBinaryTest, HugeComponentIdIsRejectedNotAllocated) {
   PutPod(&comp, 1.0);                                // prob column
   PutPod(&comp, static_cast<uint8_t>(2));            // tag: bool
   PutPod(&comp, static_cast<uint64_t>(1));           // payload
-  MAYBMS_ASSERT_OK(WriteSnapshotSection(
-      out, SnapshotFourCC('C', 'O', 'M', 'P'), comp));
-  auto r = ReadWsdDb(out);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
-  EXPECT_NE(r.status().message().find("dead-id gaps"), std::string::npos)
-      << r.status().ToString();
+  ExpectParseError(HandBuiltV2(comp, ""), "dead-id gaps");
 }
 
 TEST(SerializeBinaryTest, HugeSlotCountIsRejectedNotAllocated) {
-  // A checksummed COMP section declaring 2^32-1 slots in a tiny payload
-  // must fail on the count bound, not attempt a ~100GB reserve.
-  std::stringstream out;
-  out << "MAYBMS-WSD 2\n";
-  std::string meta;
-  PutPod(&meta, static_cast<uint32_t>(0x32445357));
-  PutPod(&meta, static_cast<uint64_t>(1u << 20));
-  PutPod(&meta, static_cast<uint64_t>(1));
-  MAYBMS_ASSERT_OK(WriteSnapshotSection(
-      out, SnapshotFourCC('M', 'E', 'T', 'A'), meta));
-  std::string strs;
-  PutPod(&strs, static_cast<uint32_t>(0));
-  PutPod(&strs, static_cast<uint64_t>(0));
-  PutPod(&strs, static_cast<uint64_t>(0));
-  MAYBMS_ASSERT_OK(WriteSnapshotSection(
-      out, SnapshotFourCC('S', 'T', 'R', 'S'), strs));
+  // 2^32-1 slots in a tiny payload must fail on the count bound, not
+  // attempt a ~100GB reserve.
   std::string comp;
   PutPod(&comp, static_cast<uint32_t>(1));           // one component
   PutPod(&comp, static_cast<uint32_t>(0));           // id 0
   PutPod(&comp, static_cast<uint32_t>(0xffffffff));  // hostile n_slots
   PutPod(&comp, static_cast<uint64_t>(1));           // n_rows
-  MAYBMS_ASSERT_OK(WriteSnapshotSection(
-      out, SnapshotFourCC('C', 'O', 'M', 'P'), comp));
-  auto r = ReadWsdDb(out);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
-  EXPECT_NE(r.status().message().find("slot count"), std::string::npos)
-      << r.status().ToString();
+  ExpectParseError(HandBuiltV2(comp, ""), "slot count");
+}
+
+TEST(SerializeBinaryTest, HugeRelationCountsAreRejectedNotAllocated) {
+  std::string no_comps;
+  PutPod(&no_comps, static_cast<uint32_t>(0));
+  // One relation "r" (x INT) whose body declares `n_tuples` rows and
+  // `n_deps` dependencies in a payload holding neither.
+  auto rels = [](uint64_t n_tuples, uint64_t n_deps) {
+    std::string r;
+    PutPod(&r, static_cast<uint32_t>(1));
+    PutLenString(&r, "r");
+    PutLenString(&r, "r");
+    PutPod(&r, static_cast<uint32_t>(1));  // n_cols
+    PutPod(&r, n_tuples);
+    PutLenString(&r, "x");
+    PutPod(&r, static_cast<uint8_t>(1));  // int
+    PutPod(&r, static_cast<uint32_t>(0));  // dep_counts[0]
+    PutPod(&r, n_deps);
+    return r;
+  };
+  ExpectParseError(HandBuiltV2(no_comps, rels(uint64_t{1} << 60, 0)),
+                   "exceeds payload");
+  ExpectParseError(HandBuiltV2(no_comps, rels(1, uint64_t{1} << 61)),
+                   "exceeds payload");
+  ExpectParseError(HandBuiltV2(no_comps, rels(1, 0)), "exceeds payload");
 }
 
 TEST(SerializeTest, HugeComponentIdIsRejectedNotAllocated) {
@@ -398,7 +463,7 @@ TEST_P(SerializeBinaryRandom, ExactRoundTrip) {
   opt.p_joint = 0.4;
   WsdDb db = testing_util::RandomWsd(&rng, opt);
   std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+  MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
   auto back = ReadWsdDb(ss);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   MAYBMS_ASSERT_OK(back->CheckInvariants());
@@ -434,29 +499,54 @@ TEST(SerializeCompatTest, V1FixtureLoadsAndRewritesBitIdentically) {
       << "v1 writer output drifted from the checked-in fixture";
 }
 
-// --- v2 compatibility pin ---------------------------------------------------
+// --- v2 compatibility pins -------------------------------------------------
 //
-// tests/data/medical_v2.wsd is the same database written by the v2
-// binary writer when v3 (sharded, mmap-able) became the default. Like
-// v1, old v2 snapshots must stay readable, and WriteWsdDbBinary must
-// keep producing byte-identical v2 output.
+// The files listed in kV2Fixtures were written by the v2 binary writer
+// before it was retired (v3 is the only binary format the engine
+// writes). Old v2 snapshots must stay readable: each fixture loads into
+// exactly the database its builder makes, survives a v3 rewrite, and no
+// truncation or byte flip of it parses.
 
-TEST(SerializeCompatTest, V2FixtureLoadsAndRewritesBitIdentically) {
-  std::string path = std::string(MAYBMS_TEST_DATA_DIR) + "/medical_v2.wsd";
-  std::ifstream fixture(path, std::ios::binary);
-  ASSERT_TRUE(fixture.good()) << "missing fixture " << path;
-  std::stringstream raw;
-  raw << fixture.rdbuf();
+TEST(SerializeCompatTest, V2FixturesLoadExactlyAndUpgradeToV3) {
+  for (const V2Fixture& f : kV2Fixtures) {
+    SCOPED_TRACE(f.file);
+    auto loaded = LoadWsdDb(std::string(MAYBMS_TEST_DATA_DIR) + "/" + f.file);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    MAYBMS_ASSERT_OK(loaded->CheckInvariants());
+    testing_util::ExpectDbsExactlyEqual(f.build(), *loaded);
 
-  auto loaded = LoadWsdDb(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  MAYBMS_ASSERT_OK(loaded->CheckInvariants());
-  testing_util::ExpectDbsExactlyEqual(MedicalExample(), *loaded);
+    std::stringstream v3;
+    MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(*loaded, v3));
+    auto back = ReadWsdDb(v3);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    testing_util::ExpectDbsExactlyEqual(*loaded, *back);
+  }
+}
 
-  std::stringstream rewritten;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(*loaded, rewritten));
-  EXPECT_EQ(raw.str(), rewritten.str())
-      << "v2 writer output drifted from the checked-in fixture";
+TEST(SerializeCompatTest, V2FixtureEveryTruncationFailsCleanly) {
+  for (const V2Fixture& f : kV2Fixtures) {
+    const std::string full = ReadFixture(f.file);
+    ASSERT_FALSE(full.empty()) << f.file;
+    for (size_t len = 0; len < full.size(); ++len) {
+      std::stringstream cut(full.substr(0, len));
+      EXPECT_FALSE(ReadWsdDb(cut).ok())
+          << f.file << ": prefix of length " << len << " parsed";
+    }
+  }
+}
+
+TEST(SerializeCompatTest, V2FixtureEveryByteFlipFailsCleanly) {
+  for (const V2Fixture& f : kV2Fixtures) {
+    const std::string full = ReadFixture(f.file);
+    ASSERT_FALSE(full.empty()) << f.file;
+    for (size_t i = 0; i < full.size(); ++i) {
+      std::string bad = full;
+      bad[i] = static_cast<char>(bad[i] ^ 0x20);
+      std::stringstream in(bad);
+      EXPECT_FALSE(ReadWsdDb(in).ok())
+          << f.file << ": byte flip at offset " << i << " parsed";
+    }
+  }
 }
 
 // --- v3 (sharded) round trips -----------------------------------------------
@@ -506,13 +596,12 @@ TEST_P(SerializeV3Random, ExactRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeV3Random, ::testing::Range(0, 15));
 
-TEST(SerializeV3Test, SaveDefaultsToV3AndKeepsV2Selectable) {
+TEST(SerializeV3Test, SaveDefaultsToV3AndV2StaysReadable) {
   WsdDb db = MedicalExample();
-  std::string dir = ::testing::TempDir();
-  std::string v3_path = dir + "/medical_default.wsd";
-  std::string v2_path = dir + "/medical_v2_explicit.wsd";
+  const std::string v3_path = ::testing::TempDir() + "/medical_default.wsd";
+  const std::string v2_path =
+      std::string(MAYBMS_TEST_DATA_DIR) + "/medical_v2.wsd";
   MAYBMS_ASSERT_OK(SaveWsdDb(db, v3_path, SnapshotFormat::kBinary));
-  MAYBMS_ASSERT_OK(SaveWsdDb(db, v2_path, SnapshotFormat::kBinaryV2));
 
   auto header = [](const std::string& p) {
     std::ifstream in(p, std::ios::binary);
@@ -527,6 +616,7 @@ TEST(SerializeV3Test, SaveDefaultsToV3AndKeepsV2Selectable) {
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     testing_util::ExpectDbsExactlyEqual(db, *back);
   }
+  std::remove(v3_path.c_str());
 }
 
 TEST(SerializeTest, CorruptedInputsFailCleanly) {

@@ -1,8 +1,9 @@
 // Snapshot round-trip fuzz: random world-set databases pushed through
-// text → binary → text must come back *exactly* — same templates, same
-// packed cells, bit-identical probabilities, same options — and the two
-// text renderings must be byte-identical. A second pass hammers the
-// binary reader with truncations and random byte flips: every corrupted
+// text → binary (v3) → text must come back *exactly* — same templates,
+// same packed cells, bit-identical probabilities, same options — and the
+// two text renderings must be byte-identical. A second pass hammers the
+// binary readers with truncations and random byte flips (v3 images of
+// random databases, and the committed v2 fixtures): every corrupted
 // input must produce a Status error, never a crash or a hang.
 //
 // Iteration count: MAYBMS_SNAPSHOT_FUZZ_ITERS (default 60). The
@@ -12,9 +13,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/mapped_db.h"
@@ -64,7 +67,7 @@ TEST(SnapshotFuzzTest, TextBinaryTextRoundTripIsExact) {
                                 << from_text.status().ToString();
 
     std::stringstream binary;
-    MAYBMS_ASSERT_OK(WriteWsdDbBinary(*from_text, binary));
+    MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(*from_text, binary));
     auto from_binary = ReadWsdDb(binary);
     ASSERT_TRUE(from_binary.ok()) << "iter " << i << ": "
                                   << from_binary.status().ToString();
@@ -85,7 +88,7 @@ TEST(SnapshotFuzzTest, CorruptedBinaryInputsNeverCrash) {
     Rng rng(i * 5147 + 97);
     WsdDb db = RandomDb(&rng, i);
     std::stringstream ss;
-    MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
+    MAYBMS_ASSERT_OK(WriteWsdDbBinaryV3(db, ss));
     const std::string full = ss.str();
     ASSERT_FALSE(full.empty());
 
@@ -114,6 +117,52 @@ TEST(SnapshotFuzzTest, CorruptedBinaryInputsNeverCrash) {
       auto r = ReadWsdDb(in);
       // Reaching here without crashing is the point; a mutated snapshot
       // that still parses must at least hold the structural invariants.
+      if (r.ok()) {
+        MAYBMS_EXPECT_OK(r->CheckInvariants());
+      }
+    }
+  }
+}
+
+// The v2 reader has no writer left; hammer it with the same mutations
+// over the committed v2 fixtures instead.
+TEST(SnapshotFuzzTest, CorruptedV2FixturesNeverCrash) {
+  std::vector<std::string> images;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(MAYBMS_TEST_DATA_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > 7 && name.substr(name.size() - 7) == "_v2.wsd") {
+      images.push_back(testing_util::ReadFixture(name));
+    }
+  }
+  ASSERT_GE(images.size(), 5u);
+  const size_t iters = FuzzIters();
+  for (size_t i = 0; i < iters; ++i) {
+    Rng rng(i * 3571 + 59);
+    const std::string& full = images[i % images.size()];
+    for (int mutation = 0; mutation < 24; ++mutation) {
+      std::string bad = full;
+      switch (rng.NextBelow(3)) {
+        case 0:
+          bad.resize(rng.NextBelow(bad.size()));
+          break;
+        case 1: {
+          size_t pos = rng.NextBelow(bad.size());
+          bad[pos] = static_cast<char>(
+              bad[pos] ^ static_cast<char>(1 + rng.NextBelow(255)));
+          break;
+        }
+        default: {
+          size_t pos = rng.NextBelow(bad.size());
+          for (size_t k = pos; k < bad.size() && k < pos + 8; ++k) {
+            bad[k] = static_cast<char>(rng.NextBelow(256));
+          }
+          break;
+        }
+      }
+      if (bad == full) continue;
+      std::stringstream in(bad);
+      auto r = ReadWsdDb(in);
       if (r.ok()) {
         MAYBMS_EXPECT_OK(r->CheckInvariants());
       }

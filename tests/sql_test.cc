@@ -475,6 +475,7 @@ TEST(SessionTest, SetAndShowSettingsRoundTrip) {
 
   auto settings = session.Execute("SHOW SETTINGS");
   ASSERT_TRUE(settings.ok()) << settings.status().ToString();
+  EXPECT_EQ(settings->table.NumRows(), 26u);
   bool saw_threads = false, saw_materialize = false;
   for (size_t i = 0; i < settings->table.NumRows(); ++i) {
     const auto& row = settings->table.row(i);
@@ -500,6 +501,9 @@ TEST(SessionTest, SetErrorsAndFingerprint) {
   // Unknown knob and type mismatches reject without changing anything.
   EXPECT_EQ(session.Execute("SET no.such.knob = 1").status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      session.Execute("SET materialize_conf_capacity = 16").status().code(),
+      StatusCode::kInvalidArgument);
   EXPECT_EQ(session.Execute("SET conf.num_threads = 'many'").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(session.Execute("SET conf.num_threads = -2").status().code(),

@@ -5,7 +5,9 @@
 #define MAYBMS_TESTS_TEST_UTIL_H_
 
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,17 @@ namespace testing_util {
     ::maybms::Status _st = (expr);                                   \
     EXPECT_TRUE(_st.ok()) << _st.ToString();                         \
   } while (0)
+
+/// The bytes of a checked-in fixture under tests/data/ (e.g. a v2
+/// snapshot written before the v2 writer was retired).
+inline std::string ReadFixture(const std::string& name) {
+  std::ifstream in(std::string(MAYBMS_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << name;
+  std::stringstream raw;
+  raw << in.rdbuf();
+  return raw.str();
+}
 
 /// Builds the paper's Section 2 medical example:
 ///
